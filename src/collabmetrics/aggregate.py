@@ -27,8 +27,6 @@ AGGREGATE_SOURCES = {
     "CI": None,  # resolved by ci_mode
     "FCI": "FCI",
     "DCI": "DCI",
-    "CI_UNI": "CI_UNI",
-    "CI_DPR": "CI_DPR",
 }
 
 AREA_INDICATORS = ("P", "FP", "QP", "FQP", "QI", "CI", "FCI", "DCI")
@@ -54,8 +52,6 @@ class NormalizedCell:
     CIn: float | None
     FCIn: float | None
     DCIn: float | None
-    CI_UNIn: float | None
-    CI_DPRn: float | None
     Add: float  # staff weight: period-average headcount
 
 
@@ -154,8 +150,6 @@ def normalize_to_sds_mean(
                 CIn=normalized["CI"],
                 FCIn=normalized["FCI"],
                 DCIn=normalized["DCI"],
-                CI_UNIn=normalized["CI_UNI"],
-                CI_DPRn=normalized["CI_DPR"],
                 Add=rec.staff,
             )
         )

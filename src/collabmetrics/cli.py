@@ -46,11 +46,11 @@ def _parse_period(raw: str) -> tuple[int, int]:
         if len(parts) == 1:
             year = int(parts[0])
             return (year, year)
-        if len(parts) == 2:
+        if len(parts) == 2 and int(parts[0]) <= int(parts[1]):
             return (int(parts[0]), int(parts[1]))
     except ValueError:
         pass
-    raise click.BadParameter(f"expected YYYY or YYYY-YYYY, got '{raw}'")
+    raise click.BadParameter(f"expected YYYY or YYYY-YYYY (start <= end), got '{raw}'")
 
 
 def _digest(path: Path) -> str:
@@ -162,23 +162,23 @@ def indicators(out_dir: Path, **kw):
               type=click.Path(file_okay=False, path_type=Path))
 @click.option("--ci-mode", type=click.Choice(["share", "ratio"]), default="share",
               show_default=True, help="CI reading fed into normalization")
-@click.option("--threshold", type=float, default=5.0, show_default=True,
-              help="minimum period-average area staff")
+@click.option("--threshold", type=click.FloatRange(min=0, min_open=True),
+              default=5.0, show_default=True, help="minimum period-average area staff")
 def aggregate(indicators_path: Path, out_dir: Path, ci_mode: str, threshold: float):
     """Normalize to sector means and aggregate to areas."""
     try:
         records, sectors = ind.read_indicators_csv(indicators_path)
-        aggregates, excluded = _aggregate_records(records, sectors, ci_mode, threshold)
+        aggregates, result = _aggregate_records(records, sectors, ci_mode, threshold)
     except (ind.IndicatorError, agg.AggregateError) as exc:
         _fail(str(exc))
     out_dir.mkdir(parents=True, exist_ok=True)
-    agg.write_aggregates_csv(aggregates, excluded, out_dir / AGGREGATES_FILENAME)
+    agg.write_aggregates_csv(aggregates, result.excluded, out_dir / AGGREGATES_FILENAME)
     _write_manifest(
         out_dir, "aggregate",
         {"ci_mode": ci_mode, "threshold": threshold},
         [indicators_path],
     )
-    for exclusion in excluded:
+    for exclusion in result.excluded:
         click.echo(
             f"excluded {exclusion.university}/{exclusion.area} "
             f"(area staff {exclusion.area_staff:g} < {threshold:g})"
@@ -194,14 +194,15 @@ def aggregate(indicators_path: Path, out_dir: Path, ci_mode: str, threshold: flo
               default="global", show_default=True)
 @click.option("--table2-mode", type=click.Choice(["pooled", "weighted"]),
               default="pooled", show_default=True)
-@click.option("--top", "top_n", type=int, default=1, show_default=True,
+@click.option("--top", "top_n", type=click.IntRange(min=1), default=1, show_default=True,
               help="sectors listed per area in the top-sector tables")
 def report(out_dir: Path, quartile_scope: str, table2_mode: str, top_n: int, **kw):
     """Build the cross-tab, area profile, dispersion and top-sector tables."""
     corpus = _load(kw)
+    records = _compute_records(corpus)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        _write_reports(corpus, out_dir, quartile_scope, table2_mode, top_n)
+        _write_reports(corpus, records, out_dir, quartile_scope, table2_mode, top_n)
     except (reports.ReportError, ind.IndicatorError, ValueError) as exc:
         _fail(str(exc))
     _write_manifest(
@@ -263,12 +264,13 @@ def synth_command(seed: int, params_path: Path | None, out_dir: Path):
               type=click.Path(file_okay=False, path_type=Path))
 @click.option("--ci-mode", type=click.Choice(["share", "ratio"]), default="share",
               show_default=True)
-@click.option("--threshold", type=float, default=5.0, show_default=True)
+@click.option("--threshold", type=click.FloatRange(min=0, min_open=True),
+              default=5.0, show_default=True)
 @click.option("--quartile-scope", type=click.Choice(["global", "per-sector"]),
               default="global", show_default=True)
 @click.option("--table2-mode", type=click.Choice(["pooled", "weighted"]),
               default="pooled", show_default=True)
-@click.option("--top", "top_n", type=int, default=1, show_default=True)
+@click.option("--top", "top_n", type=click.IntRange(min=1), default=1, show_default=True)
 def run_all(out_dir: Path, ci_mode: str, threshold: float, quartile_scope: str,
             table2_mode: str, top_n: int, **kw):
     """Run validate, indicators, aggregate, report and correlate."""
@@ -277,12 +279,10 @@ def run_all(out_dir: Path, ci_mode: str, threshold: float, quartile_scope: str,
     try:
         records = _compute_records(corpus)
         ind.write_indicators_csv(records, corpus.sectors, out_dir / INDICATORS_FILENAME)
-        aggregates, excluded = _aggregate_records(records, corpus.sectors, ci_mode, threshold)
-        agg.write_aggregates_csv(aggregates, excluded, out_dir / AGGREGATES_FILENAME)
-        _write_reports(corpus, out_dir, quartile_scope, table2_mode, top_n)
-        kept = [a for a in aggregates
-                if (a.university, a.area) not in {(e.university, e.area) for e in excluded}]
-        _write_correlations(kept, out_dir)
+        aggregates, result = _aggregate_records(records, corpus.sectors, ci_mode, threshold)
+        agg.write_aggregates_csv(aggregates, result.excluded, out_dir / AGGREGATES_FILENAME)
+        _write_reports(corpus, records, out_dir, quartile_scope, table2_mode, top_n)
+        _write_correlations(result.kept, out_dir)
     except (ind.IndicatorError, agg.AggregateError, reports.ReportError, ValueError) as exc:
         _fail(str(exc))
     _write_manifest(
@@ -323,16 +323,14 @@ def _aggregate_records(records, sectors, ci_mode: str, threshold: float):
             "normalized values undefined", err=True,
         )
     aggregates = agg.aggregate_area(normalized.cells, sectors)
-    result = agg.filter_small_universities(aggregates, threshold=threshold)
-    return aggregates, result.excluded
+    return aggregates, agg.filter_small_universities(aggregates, threshold=threshold)
 
 
-def _write_reports(corpus: Corpus, out_dir: Path, quartile_scope: str,
-                   table2_mode: str, top_n: int) -> None:
-    records = ind.compute_indicators(corpus)
+def _write_reports(corpus: Corpus, records: list[ind.IndicatorRecord], out_dir: Path,
+                   quartile_scope: str, table2_mode: str, top_n: int) -> None:
     crosstab = reports.build_crosstab(corpus, quartile_scope=quartile_scope)
     reports.emit_crosstab(crosstab, out_dir / REPORT_FILENAMES["crosstab"])
-    profile = reports.build_area_profile(corpus, mode=table2_mode)
+    profile = reports.build_area_profile(corpus, records, mode=table2_mode)
     reports.emit_area_profile(profile, out_dir / REPORT_FILENAMES["area_profile"])
     dispersion, warnings = reports.build_dispersion_table(records, corpus.sectors)
     for message in warnings:

@@ -11,7 +11,9 @@ from __future__ import annotations
 import csv
 import enum
 import json
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -126,6 +128,14 @@ class SectorMap:
 
 @dataclass(frozen=True)
 class Corpus:
+    """The cross-linked input files.
+
+    Immutability is what lets ``profiles`` be derived once and cached
+    (``dataclasses.replace`` gives a fresh cache); concurrent first
+    accesses store equal values, so a corpus stays safe to share
+    across threads.
+    """
+
     publications: tuple[Publication, ...]
     organizations: Mapping[str, Organization]
     journals: Mapping[str, Journal]
@@ -136,6 +146,13 @@ class Corpus:
 
     def years(self) -> range:
         return range(self.period[0], self.period[1] + 1)
+
+    @cached_property
+    def profiles(self) -> tuple[CollabProfile, ...]:
+        """Collaboration profile of each publication, in input order."""
+        return tuple(
+            classify_collaboration(pub, self.organizations) for pub in self.publications
+        )
 
 
 @dataclass(frozen=True)
@@ -251,10 +268,10 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
         if not journal.impact_factor_by_year:
             error(f"journals[{journal.journal_id}]", "no impact factor years")
         for year, impact in journal.impact_factor_by_year.items():
-            if impact < 0:
+            if not math.isfinite(impact) or impact < 0:
                 error(
                     f"journals[{journal.journal_id}]",
-                    f"negative impact factor {impact} for year {year}",
+                    f"negative or non-finite impact factor {impact} for year {year}",
                 )
 
     for (univ, sds, year), headcount in corpus.staff.entries.items():
@@ -430,9 +447,10 @@ def load_journals(path) -> dict[str, Journal]:
             raise CorpusLoadError(
                 path, lineno, f"not a number: {raw_if!r}", "impact_factor"
             ) from None
-        if impact < 0:
+        if not math.isfinite(impact) or impact < 0:
             raise CorpusLoadError(
-                path, lineno, f"negative impact factor {impact}", "impact_factor"
+                path, lineno, f"negative or non-finite impact factor {raw_if!r}",
+                "impact_factor",
             )
         years = by_journal.setdefault(journal_id, {})
         if year in years:

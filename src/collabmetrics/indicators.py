@@ -15,7 +15,7 @@ import csv
 import math
 from dataclasses import dataclass, fields
 
-from .corpus import Corpus, Publication, SectorMap, classify_collaboration
+from .corpus import CollabProfile, Corpus, Publication, SectorMap
 
 
 class IndicatorError(Exception):
@@ -132,21 +132,16 @@ def compute_indicators(corpus: Corpus) -> list[IndicatorRecord]:
     or one roster entry.  Summation follows publication input order, so
     results do not depend on any scheduling.
     """
-    cells: dict[tuple[str, str], list[Publication]] = {}
-    for pub in corpus.publications:
-        for att in pub.attributions:
-            cells.setdefault((att.university, att.sds), []).append(pub)
-    for univ, sds in corpus.staff.pairs():
-        cells.setdefault((univ, sds), [])
-
     nif_by_sds = {
         sds: sector_normalized_ifs(corpus, sds, pubs)
         for sds, pubs in publications_by_sds(corpus).items()
     }
-    profiles = {
-        pub.pub_id: classify_collaboration(pub, corpus.organizations)
-        for pub in corpus.publications
-    }
+    cells: dict[tuple[str, str], list[tuple[Publication, CollabProfile]]] = {}
+    for pub, profile in zip(corpus.publications, corpus.profiles):
+        for att in pub.attributions:
+            cells.setdefault((att.university, att.sds), []).append((pub, profile))
+    for univ, sds in corpus.staff.pairs():
+        cells.setdefault((univ, sds), [])
 
     records: list[IndicatorRecord] = []
     for (univ, sds) in sorted(cells):
@@ -162,13 +157,12 @@ def compute_indicators(corpus: Corpus) -> list[IndicatorRecord]:
         n_dpr = 0
         n_foreign = 0
         n_enterprise = 0
-        for pub in pubs:
+        for pub, profile in pubs:
             frac = fractional_contribution(pub)
             value = nif[(pub.journal_id, pub.year)].value
             fo_terms.append(frac)
             ss_terms.append(value)
             fss_terms.append(value * frac)
-            profile = profiles[pub.pub_id]
             if profile.is_extramural:
                 n_extramural += 1
             if profile.has_other_domestic_university(univ):

@@ -16,9 +16,8 @@ from typing import Iterable, Mapping, Sequence
 
 from . import stats
 from .aggregate import AreaAggregate
-from .corpus import Corpus, classify_collaboration
-from .indicators import IndicatorRecord, compute_indicators, publications_by_sds, \
-    sector_normalized_ifs
+from .corpus import Corpus
+from .indicators import IndicatorRecord, publications_by_sds, sector_normalized_ifs
 
 QUARTILE_LABELS = ("0-25", "26-50", "51-75", "76-100")  # worst -> best
 COLLAB_COLUMNS = ("intramural", "extramural", "foreign", "enterprise")
@@ -174,9 +173,8 @@ def build_crosstab(corpus: Corpus, quartile_scope: str = "global") -> CrossTab:
                     bin_of[pub.pub_id] = b
 
     matrix = [[0, 0, 0, 0] for _ in QUARTILE_LABELS]
-    for pub in pubs:
+    for pub, profile in zip(pubs, corpus.profiles):
         row = bin_of[pub.pub_id] - 1
-        profile = classify_collaboration(pub, corpus.organizations)
         if not profile.is_extramural:
             matrix[row][0] += 1
             continue
@@ -203,17 +201,20 @@ class AreaProfileRow:
     DCI: float | None
 
 
-def build_area_profile(corpus: Corpus, mode: str = "pooled") -> list[AreaProfileRow]:
+def build_area_profile(
+    corpus: Corpus, records: list[IndicatorRecord], mode: str = "pooled"
+) -> list[AreaProfileRow]:
     """Per-area output and collaboration shares.
 
     ``pooled`` counts each distinct publication of the area once and
-    takes plain ratios; ``weighted`` averages the per-cell shares with
+    takes plain ratios; ``weighted`` averages the per-cell shares of
+    ``records`` (the corpus's ``compute_indicators`` result) with
     period-average staff weights instead.
     """
     if mode == "pooled":
         return _area_profile_pooled(corpus)
     if mode == "weighted":
-        return _area_profile_weighted(corpus)
+        return _area_profile_weighted(corpus, records)
     raise ReportError(f"unknown area profile mode '{mode}' (use pooled|weighted)")
 
 
@@ -222,8 +223,7 @@ def _area_profile_pooled(corpus: Corpus) -> list[AreaProfileRow]:
         area: {"output": 0, "CI": 0, "CI_UNI": 0, "CI_DPR": 0, "FCI": 0, "DCI": 0}
         for area in corpus.sectors.areas()
     }
-    for pub in corpus.publications:
-        profile = classify_collaboration(pub, corpus.organizations)
+    for pub, profile in zip(corpus.publications, corpus.profiles):
         pub_areas = {corpus.sectors.area_of(sds) for sds in pub.sds_codes()}
         for area in pub_areas:
             c = counters[area]
@@ -258,8 +258,9 @@ def _area_profile_pooled(corpus: Corpus) -> list[AreaProfileRow]:
     return rows
 
 
-def _area_profile_weighted(corpus: Corpus) -> list[AreaProfileRow]:
-    records = compute_indicators(corpus)
+def _area_profile_weighted(
+    corpus: Corpus, records: list[IndicatorRecord]
+) -> list[AreaProfileRow]:
     pooled = _area_profile_pooled(corpus)  # output column stays pooled
     output_by_area = {row.area: row.output for row in pooled}
 

@@ -80,13 +80,8 @@ def pearson(x: Sequence, y: Sequence) -> float | None:
     Returns ``None`` when fewer than 3 pairwise-complete observations
     remain or when either side has zero variance.
     """
-    pairs = clean_pairs(x, y)
-    if len(pairs) < 3:
-        return None
-    sxx, syy, sxy = _moments(pairs)
-    if sxx == 0.0 or syy == 0.0:
-        return None
-    return sxy / math.sqrt(sxx * syy)
+    result = associate(x, y)
+    return None if result is None else result.r
 
 
 def ols_simple(x: Sequence, y: Sequence) -> tuple[float, float] | None:

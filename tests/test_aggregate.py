@@ -31,7 +31,7 @@ def rec(univ, sds, **kw):
 def cell(univ, sds, add=1.0, **kw):
     values = dict(
         Pn=None, FPn=None, QPn=None, FQPn=None, QIn=None, CIn=None,
-        FCIn=None, DCIn=None, CI_UNIn=None, CI_DPRn=None,
+        FCIn=None, DCIn=None,
     )
     values.update(kw)
     return NormalizedCell(university=univ, sds=sds, Add=add, **values)

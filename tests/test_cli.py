@@ -72,11 +72,12 @@ class TestValidateCommand:
         assert "publications.jsonl:1" in result.output
 
     def test_bad_period_rejected(self, runner, data_dir):
-        result = runner.invoke(
-            cli, ["validate"] + corpus_args(data_dir) + ["--period", "soon"]
-        )
-        assert result.exit_code == 2
-        assert "YYYY" in result.output
+        for period in ("soon", "2003-2001"):
+            result = runner.invoke(
+                cli, ["validate"] + corpus_args(data_dir) + ["--period", period]
+            )
+            assert result.exit_code == 2
+            assert "YYYY" in result.output
 
 
 class TestSynthCommand:
@@ -136,9 +137,14 @@ class TestPipeline:
             assert result.exit_code == 0, result.output
         assert read_tree(first) == read_tree(second)
 
-    def test_staged_run_matches_all(self, runner, data_dir, tmp_path):
+    @pytest.mark.parametrize("report_flags", [
+        [], ["--table2-mode", "weighted", "--quartile-scope", "per-sector"],
+    ], ids=["default", "weighted-per-sector"])
+    def test_staged_run_matches_all(self, runner, data_dir, tmp_path, report_flags):
         full = tmp_path / "full"
-        result = runner.invoke(cli, ["all"] + corpus_args(data_dir) + ["--out", str(full)])
+        result = runner.invoke(
+            cli, ["all"] + corpus_args(data_dir) + ["--out", str(full)] + report_flags
+        )
         assert result.exit_code == 0, result.output
 
         staged = tmp_path / "staged"
@@ -170,7 +176,7 @@ class TestPipeline:
 
         rep_out = tmp_path / "staged_rep"
         result = runner.invoke(
-            cli, ["report"] + corpus_args(data_dir) + ["--out", str(rep_out)]
+            cli, ["report"] + corpus_args(data_dir) + ["--out", str(rep_out)] + report_flags
         )
         assert result.exit_code == 0, result.output
         for name in ("crosstab.csv", "area_profile.csv", "dispersion.csv",
@@ -195,3 +201,53 @@ class TestPipeline:
         )
         assert result.exit_code == 1
         assert "dangling sds" in result.output
+
+    @pytest.mark.parametrize("argv", [
+        ["all", "--threshold", "0"],
+        ["all", "--top", "0"],
+        ["report", "--top", "0"],
+        ["aggregate", "--threshold", "0"],
+    ])
+    def test_out_of_range_flag_rejected_before_writing(
+        self, runner, data_dir, tmp_path, argv
+    ):
+        if argv[0] == "aggregate":
+            staged = tmp_path / "staged"
+            result = runner.invoke(
+                cli, ["indicators"] + corpus_args(data_dir) + ["--out", str(staged)]
+            )
+            assert result.exit_code == 0, result.output
+            inputs = ["--indicators", str(staged / "indicators.csv")]
+        else:
+            inputs = corpus_args(data_dir)
+        out = tmp_path / "out"
+        result = runner.invoke(cli, argv[:1] + inputs + ["--out", str(out)] + argv[1:])
+        assert result.exit_code == 2, result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["all"], ["report", "--table2-mode", "weighted"],
+    ])
+    def test_one_indicator_pass_and_classification_per_command(
+        self, runner, data_dir, tmp_path, monkeypatch, argv
+    ):
+        from collabmetrics import corpus, indicators
+
+        calls = {"classify": 0, "compute": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(corpus, "classify_collaboration",
+                            counted("classify", corpus.classify_collaboration))
+        monkeypatch.setattr(indicators, "compute_indicators",
+                            counted("compute", indicators.compute_indicators))
+        n_pubs = len((data_dir / "publications.jsonl").read_text().splitlines())
+        result = runner.invoke(
+            cli, argv[:1] + corpus_args(data_dir) + ["--out", str(tmp_path / "out")] + argv[1:]
+        )
+        assert result.exit_code == 0, result.output
+        assert calls == {"classify": n_pubs, "compute": 1}

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -164,6 +165,15 @@ class TestLoad:
         with pytest.raises(CorpusLoadError, match="negative headcount"):
             load_from(paths)
 
+    @pytest.mark.parametrize("raw", ["nan", "inf"])
+    def test_non_finite_impact_factor_rejected(self, tmp_path, raw):
+        paths = write_minimal_files(tmp_path)
+        paths["journals"].write_text(
+            f"journal_id,year,impact_factor\nJ1,2001,{raw}\n", encoding="utf-8"
+        )
+        with pytest.raises(CorpusLoadError, match="journals.csv:2: field 'impact_factor'"):
+            load_from(paths)
+
     def test_dangling_reference_raises_on_checked_load(self, tmp_path):
         lines = [
             {
@@ -242,6 +252,18 @@ class TestValidate:
         dangling = [e for e in report.errors if "dangling journal_id" in e.message]
         assert len(report.errors) == len(dangling) == 1
         assert victim in dangling[0].location
+
+    @pytest.mark.parametrize("impact", [float("nan"), float("inf")])
+    def test_non_finite_impact_factor_is_an_error(self, tmp_path, impact):
+        corpus = load_from(write_minimal_files(tmp_path))
+        corpus = dataclasses.replace(
+            corpus, journals={"J1": Journal("J1", {2001: impact, 2002: 2.4, 2003: 2.6})}
+        )
+        messages = [e.describe() for e in validate_corpus(corpus).errors]
+        assert messages == [
+            f"[error] journals[J1]: negative or non-finite impact factor {impact} "
+            "for year 2001"
+        ]
 
     def test_directly_built_corpus_violations_located(self):
         corpus = Corpus(

@@ -183,12 +183,14 @@ def profile_corpus():
 
 class TestAreaProfile:
     def test_single_organization_area_has_zero_shares(self):
-        rows = build_area_profile(intramural_corpus())
+        corpus = intramural_corpus()
+        rows = build_area_profile(corpus, compute_indicators(corpus))
         assert rows[0].CI == 0.0
         assert rows[0].FCI == 0.0
 
     def test_forced_ratios(self):
-        rows = build_area_profile(profile_corpus())
+        corpus = profile_corpus()
+        rows = build_area_profile(corpus, compute_indicators(corpus))
         row = rows[0]
         assert row.output == 10
         assert row.CI == pytest.approx(0.6)
@@ -207,13 +209,13 @@ class TestAreaProfile:
             },
         )
         corpus = generate_corpus(params).corpus
-        rows = {r.area: r for r in build_area_profile(corpus)}
+        rows = {r.area: r for r in build_area_profile(corpus, compute_indicators(corpus))}
         assert rows["A01"].output >= 5000
         assert rows["A01"].FCI == pytest.approx(0.47, abs=0.02)
 
     def test_weighted_mode_runs_and_stays_in_range(self):
         corpus = generate_corpus(SynthParams(seed=9, n_universities=8)).corpus
-        for row in build_area_profile(corpus, mode="weighted"):
+        for row in build_area_profile(corpus, compute_indicators(corpus), mode="weighted"):
             for value in (row.CI, row.CI_UNI, row.CI_DPR, row.FCI, row.DCI):
                 assert value is None or 0.0 <= value <= 1.0
 
