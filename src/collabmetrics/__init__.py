@@ -25,7 +25,6 @@ from .indicators import (
     IndicatorRecord,
     compute_indicators,
     fractional_contribution,
-    normalized_impact_factor,
 )
 from .synth import PlantedAssociation, Propensities, SynthParams, generate_corpus
 
@@ -54,7 +53,6 @@ __all__ = [
     "generate_corpus",
     "load_corpus",
     "normalize_to_sds_mean",
-    "normalized_impact_factor",
     "validate_corpus",
     "write_corpus",
 ]

@@ -256,20 +256,28 @@ def read_aggregates_csv(path) -> FilterResult:
         header = next(reader, None)
         if header != AGGREGATES_HEADER:
             raise AggregateError(f"{path}: unexpected aggregates header {header}")
-        for row in reader:
+        for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(AGGREGATES_HEADER):
-                raise AggregateError(f"{path}: malformed row {row}")
-            values = {
-                name: (None if cell == "" else float(cell))
-                for name, cell in zip(AREA_INDICATORS, row[2:10])
-            }
+                raise AggregateError(f"{path}:{lineno}: malformed row {row}")
+            values = {}
+            for name, cell in zip(AGGREGATES_HEADER[2:12], row[2:12]):
+                try:
+                    if name == "n_sectors":
+                        values[name] = int(cell)
+                    elif name == "staff":
+                        values[name] = float(cell)
+                    else:
+                        values[name] = None if cell == "" else float(cell)
+                except ValueError:
+                    raise AggregateError(
+                        f"{path}:{lineno}: column '{name}': not a number: {cell!r}"
+                    ) from None
             agg = AreaAggregate(
                 university=row[0],
                 area=row[1],
-                total_staff=float(row[10]),
-                n_sectors=int(row[11]),
+                total_staff=values.pop("staff"),
                 **values,
             )
             if row[12] == "true":

@@ -54,7 +54,11 @@ def _parse_period(raw: str) -> tuple[int, int]:
 
 
 def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, inputs: list[Path]) -> None:

@@ -35,6 +35,10 @@ class CorpusLoadError(CorpusError):
         super().__init__(f"{where}: {message}")
 
 
+class IndicatorError(Exception):
+    """A precondition of indicator computation does not hold."""
+
+
 class CorpusValidationError(CorpusError):
     """Raised when a checked load finds referential errors."""
 
@@ -87,9 +91,6 @@ class Publication:
     def sds_codes(self) -> set[str]:
         return {a.sds for a in self.attributions}
 
-    def universities(self) -> set[str]:
-        return {a.university for a in self.attributions}
-
 
 @dataclass(frozen=True)
 class StaffRoster:
@@ -130,10 +131,12 @@ class SectorMap:
 class Corpus:
     """The cross-linked input files.
 
-    Immutability is what lets ``profiles`` be derived once and cached
-    (``dataclasses.replace`` gives a fresh cache); concurrent first
-    accesses store equal values, so a corpus stays safe to share
-    across threads.
+    Two facts are derived once and cached: ``profiles`` (collaboration
+    class of each publication) and ``normalized_ifs`` (sector-normalized
+    impact factors).  Both depend only on fields that never change, so
+    a cached value cannot go stale (``dataclasses.replace`` gives a
+    fresh cache); concurrent first accesses store equal values, so a
+    corpus stays safe to share across threads.
     """
 
     publications: tuple[Publication, ...]
@@ -153,6 +156,46 @@ class Corpus:
         return tuple(
             classify_collaboration(pub, self.organizations) for pub in self.publications
         )
+
+    def publications_by_sds(self) -> dict[str, list[Publication]]:
+        """Publications of each sector (a publication once per sector it
+        credits), sectors in order of first appearance."""
+        out: dict[str, list[Publication]] = {}
+        for pub in self.publications:
+            for sds in sorted(pub.sds_codes()):
+                out.setdefault(sds, []).append(pub)
+        return out
+
+    @cached_property
+    def normalized_ifs(self) -> dict[str, dict[tuple[str, int], float]]:
+        """Impact factor of each (journal, year) used in each sector,
+        divided by the publication-weighted sector mean, so the mean
+        normalized value over the sector's publications is one."""
+        table = {}
+        for sds, pubs in self.publications_by_sds().items():
+            raws = [_raw_impact(self, p) for p in pubs]
+            # exact summation keeps the result independent of publication order
+            mean = math.fsum(raws) / len(raws)
+            if mean == 0.0:
+                raise IndicatorError(
+                    f"sector '{sds}': all impact factors are zero, normalization undefined"
+                )
+            table[sds] = {(p.journal_id, p.year): raw / mean for p, raw in zip(pubs, raws)}
+        return table
+
+
+def _raw_impact(corpus: Corpus, pub: Publication) -> float:
+    journal = corpus.journals.get(pub.journal_id)
+    if journal is None:
+        raise IndicatorError(
+            f"publication '{pub.pub_id}': dangling journal '{pub.journal_id}'"
+        )
+    impact = journal.impact_factor_by_year.get(pub.year)
+    if impact is None:
+        raise IndicatorError(
+            f"missing impact factor for journal '{pub.journal_id}' year {pub.year}"
+        )
+    return impact
 
 
 @dataclass(frozen=True)
@@ -383,7 +426,7 @@ SECTOR_HEADER = ["sds", "area"]
 def _read_csv(path, expected_header: list[str]):
     """Yield (line_number, row) for a strict-header CSV file."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_utf8_lines(path, fh))
         try:
             header = next(reader)
         except StopIteration:
@@ -400,6 +443,21 @@ def _read_csv(path, expected_header: list[str]):
                     path, lineno, f"expected {len(expected_header)} fields, got {len(row)}"
                 )
             yield lineno, row
+
+
+def _utf8_lines(path, fh):
+    """The lines of ``fh``, with a decoding failure raised as a load error
+    at the first line of ``path`` that is not valid UTF-8."""
+    try:
+        yield from fh
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+            line = None  # the file changed since it was read
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+        raise CorpusLoadError(path, line, "not valid UTF-8") from None
 
 
 def _parse_int(path, lineno, field_name, raw) -> int:
@@ -498,7 +556,7 @@ def load_publications(path, period: tuple[int, int]) -> tuple[Publication, ...]:
     pubs: list[Publication] = []
     seen_ids: set[str] = set()
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(_utf8_lines(path, fh), start=1):
             line = line.strip()
             if not line:
                 continue

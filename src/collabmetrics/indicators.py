@@ -15,21 +15,7 @@ import csv
 import math
 from dataclasses import dataclass, fields
 
-from .corpus import CollabProfile, Corpus, Publication, SectorMap
-
-
-class IndicatorError(Exception):
-    """A precondition of indicator computation does not hold."""
-
-
-@dataclass(frozen=True)
-class NormalizedIF:
-    """Impact factor of one (journal, year) rescaled to its sector mean."""
-
-    journal_id: str
-    sds: str
-    year: int
-    value: float
+from .corpus import CollabProfile, Corpus, IndicatorError, Publication, SectorMap
 
 
 @dataclass(frozen=True)
@@ -68,63 +54,6 @@ def fractional_contribution(pub: Publication) -> float:
     return 1.0 / len(pub.org_ids)
 
 
-def publications_by_sds(corpus: Corpus) -> dict[str, list[Publication]]:
-    """Publications of each sector (a publication once per sector it credits)."""
-    out: dict[str, list[Publication]] = {}
-    for pub in corpus.publications:
-        for sds in sorted(pub.sds_codes()):
-            out.setdefault(sds, []).append(pub)
-    return out
-
-
-def _raw_impact(corpus: Corpus, pub: Publication) -> float:
-    journal = corpus.journals.get(pub.journal_id)
-    if journal is None:
-        raise IndicatorError(
-            f"publication '{pub.pub_id}': dangling journal '{pub.journal_id}'"
-        )
-    impact = journal.impact_factor_by_year.get(pub.year)
-    if impact is None:
-        raise IndicatorError(
-            f"missing impact factor for journal '{pub.journal_id}' year {pub.year}"
-        )
-    return impact
-
-
-def sector_normalized_ifs(
-    corpus: Corpus, sds: str, pubs: list[Publication]
-) -> dict[tuple[str, int], NormalizedIF]:
-    """Normalized impact factors for an explicit sector publication pool."""
-    if not pubs:
-        return {}
-    raws = [_raw_impact(corpus, p) for p in pubs]
-    # exact summation keeps the result independent of publication order
-    mean = math.fsum(raws) / len(raws)
-    if mean == 0.0:
-        raise IndicatorError(
-            f"sector '{sds}': all impact factors are zero, normalization undefined"
-        )
-    out: dict[tuple[str, int], NormalizedIF] = {}
-    for pub, raw in zip(pubs, raws):
-        key = (pub.journal_id, pub.year)
-        if key not in out:
-            out[key] = NormalizedIF(pub.journal_id, sds, pub.year, raw / mean)
-    return out
-
-
-def normalized_impact_factor(
-    corpus: Corpus, sds: str
-) -> dict[tuple[str, int], NormalizedIF]:
-    """Sector-normalized impact factor per (journal, year) used in the sector.
-
-    Values divide the raw impact factor by the publication-weighted
-    sector mean, so the mean normalized value over the sector's
-    publications is one.  Empty sectors yield an empty map.
-    """
-    pubs = [p for p in corpus.publications if sds in p.sds_codes()]
-    return sector_normalized_ifs(corpus, sds, pubs)
-
-
 def compute_indicators(corpus: Corpus) -> list[IndicatorRecord]:
     """One IndicatorRecord per (university, sds) cell of the corpus.
 
@@ -132,10 +61,7 @@ def compute_indicators(corpus: Corpus) -> list[IndicatorRecord]:
     or one roster entry.  Summation follows publication input order, so
     results do not depend on any scheduling.
     """
-    nif_by_sds = {
-        sds: sector_normalized_ifs(corpus, sds, pubs)
-        for sds, pubs in publications_by_sds(corpus).items()
-    }
+    nif_by_sds = corpus.normalized_ifs
     cells: dict[tuple[str, str], list[tuple[Publication, CollabProfile]]] = {}
     for pub, profile in zip(corpus.publications, corpus.profiles):
         for att in pub.attributions:
@@ -159,7 +85,7 @@ def compute_indicators(corpus: Corpus) -> list[IndicatorRecord]:
         n_enterprise = 0
         for pub, profile in pubs:
             frac = fractional_contribution(pub)
-            value = nif[(pub.journal_id, pub.year)].value
+            value = nif[(pub.journal_id, pub.year)]
             fo_terms.append(frac)
             ss_terms.append(value)
             fss_terms.append(value * frac)
@@ -246,11 +172,11 @@ def read_indicators_csv(path) -> tuple[list[IndicatorRecord], SectorMap]:
         header = next(reader, None)
         if header != INDICATORS_HEADER:
             raise IndicatorError(f"{path}: unexpected indicators header {header}")
-        for row in reader:
+        for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(INDICATORS_HEADER):
-                raise IndicatorError(f"{path}: malformed row {row}")
+                raise IndicatorError(f"{path}:{lineno}: malformed row {row}")
             univ, sds, area = row[0], row[1], row[2]
             known = sector_entries.setdefault(sds, area)
             if known != area:
@@ -259,11 +185,16 @@ def read_indicators_csv(path) -> tuple[list[IndicatorRecord], SectorMap]:
                 )
             values: dict[str, float | int | None] = {}
             for name, cell in zip(_VALUE_COLUMNS, row[3:]):
-                if cell == "":
-                    values[name] = None
-                elif name == "O":
-                    values[name] = int(cell)
-                else:
-                    values[name] = float(cell)
+                try:
+                    if cell == "":
+                        values[name] = None
+                    elif name == "O":
+                        values[name] = int(cell)
+                    else:
+                        values[name] = float(cell)
+                except ValueError:
+                    raise IndicatorError(
+                        f"{path}:{lineno}: column '{name}': not a number: {cell!r}"
+                    ) from None
             records.append(IndicatorRecord(university=univ, sds=sds, **values))
     return records, SectorMap(entries=sector_entries)

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 from . import stats
 from .aggregate import AreaAggregate
 from .corpus import Corpus
-from .indicators import IndicatorRecord, publications_by_sds, sector_normalized_ifs
+from .indicators import IndicatorRecord
 
 QUARTILE_LABELS = ("0-25", "26-50", "51-75", "76-100")  # worst -> best
 COLLAB_COLUMNS = ("intramural", "extramural", "foreign", "enterprise")
@@ -128,40 +128,33 @@ class CrossTab:
         return problems
 
 
-def _publication_nif(corpus: Corpus) -> dict[str, float]:
-    """Normalized impact factor per publication, averaged over its sectors."""
-    nif_by_sds = {
-        sds: sector_normalized_ifs(corpus, sds, pubs)
-        for sds, pubs in publications_by_sds(corpus).items()
-    }
-    values: dict[str, float] = {}
-    for pub in corpus.publications:
-        codes = sorted(pub.sds_codes())
-        per_sector = [nif_by_sds[s][(pub.journal_id, pub.year)].value for s in codes]
-        values[pub.pub_id] = math.fsum(per_sector) / len(per_sector)
-    return values
-
-
 def build_crosstab(corpus: Corpus, quartile_scope: str = "global") -> CrossTab:
     """Cross-tabulate publications by quality quartile and collaboration type.
 
-    ``global`` pools every publication's normalized impact factor into
-    one system-wide quartile split; ``per-sector`` bins each
-    publication within its first attribution's sector.
+    ``global`` pools every publication's normalized impact factor,
+    averaged over its sectors, into one system-wide quartile split;
+    ``per-sector`` bins each publication within its first attribution's
+    sector.
     """
     if quartile_scope not in ("global", "per-sector"):
         raise ReportError(f"unknown quartile_scope '{quartile_scope}'")
 
     pubs = corpus.publications
+    nif_by_sds = corpus.normalized_ifs
     if quartile_scope == "global":
-        values = _publication_nif(corpus)
-        bins = stats.quartile_bins([values[p.pub_id] for p in pubs])
+        values = []
+        for pub in pubs:
+            # fsum is exact, so the set's iteration order cannot change the mean
+            codes = pub.sds_codes()
+            key = (pub.journal_id, pub.year)
+            values.append(math.fsum(nif_by_sds[s][key] for s in codes) / len(codes))
+        bins = stats.quartile_bins(values)
         bin_of = dict(zip((p.pub_id for p in pubs), bins))
     else:
         bin_of = {}
-        for sds, sds_pubs in publications_by_sds(corpus).items():
-            nif = sector_normalized_ifs(corpus, sds, sds_pubs)
-            sector_values = [nif[(p.journal_id, p.year)].value for p in sds_pubs]
+        for sds, sds_pubs in corpus.publications_by_sds().items():
+            nif = nif_by_sds[sds]
+            sector_values = [nif[(p.journal_id, p.year)] for p in sds_pubs]
             if len(sector_values) < 4:
                 raise ReportError(
                     f"sector '{sds}' has {len(sector_values)} publications; "
@@ -266,11 +259,13 @@ def _area_profile_weighted(
 
     metrics = {"CI": "CI_share", "CI_UNI": "CI_UNI", "CI_DPR": "CI_DPR",
                "FCI": "FCI", "DCI": "DCI"}
+    by_area: dict[str, list[IndicatorRecord]] = {
+        area: [] for area in corpus.sectors.areas()
+    }
+    for rec in records:
+        by_area[corpus.sectors.area_of(rec.sds)].append(rec)
     rows = []
-    for area in corpus.sectors.areas():
-        area_records = [
-            rec for rec in records if corpus.sectors.area_of(rec.sds) == area
-        ]
+    for area, area_records in by_area.items():
         values: dict[str, float | None] = {}
         for name, attr in metrics.items():
             pairs = [

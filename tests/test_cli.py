@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -47,6 +49,14 @@ def read_tree(root):
     return {p.name: p.read_bytes() for p in sorted(root.iterdir()) if p.is_file()}
 
 
+def assert_clean_failure(result):
+    """Exit 1 through the CLI's own error path: one error line, no traceback."""
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exc_info
+    assert result.output.count("error:") == 1, result.output
+    assert "Traceback" not in result.output
+
+
 class TestValidateCommand:
     def test_clean_corpus_exits_zero(self, runner, data_dir):
         result = runner.invoke(cli, ["validate"] + corpus_args(data_dir))
@@ -70,6 +80,18 @@ class TestValidateCommand:
         result = runner.invoke(cli, ["validate"] + corpus_args(data_dir))
         assert result.exit_code == 1
         assert "publications.jsonl:1" in result.output
+
+    @pytest.mark.parametrize("name,line", [
+        ("organizations.csv", 3), ("publications.jsonl", 2),
+    ])
+    def test_non_utf8_file_reports_location(self, runner, data_dir, name, line):
+        path = data_dir / name
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[line - 1] = lines[line - 1].replace(b",", b"\xff,", 1)
+        path.write_bytes(b"".join(lines))
+        result = runner.invoke(cli, ["validate"] + corpus_args(data_dir))
+        assert_clean_failure(result)
+        assert f"{name}:{line}: not valid UTF-8" in result.output
 
     def test_bad_period_rejected(self, runner, data_dir):
         for period in ("soon", "2003-2001"):
@@ -191,6 +213,8 @@ class TestPipeline:
         assert manifest["command"] == "all"
         assert len(manifest["inputs"]) == 5
         assert all(len(digest) == 64 for digest in manifest["inputs"].values())
+        for path, digest in manifest["inputs"].items():
+            assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest()
         assert manifest["config"]["period"] == "2001-2003"
         assert manifest["config"]["ci_mode"] == "share"
 
@@ -225,15 +249,40 @@ class TestPipeline:
         assert result.exit_code == 2, result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,column,table", [
+        ("aggregate", "FO", "indicators.csv"),
+        ("correlate", "QI", "aggregates.csv"),
+    ])
+    def test_malformed_stage_input_reports_location(
+        self, runner, data_dir, tmp_path, command, column, table
+    ):
+        full = tmp_path / "full"
+        result = runner.invoke(cli, ["all"] + corpus_args(data_dir) + ["--out", str(full)])
+        assert result.exit_code == 0, result.output
+        path = full / table
+        rows = path.read_text().splitlines()
+        cells = rows[2].split(",")
+        cells[rows[0].split(",").index(column)] = "n/a"
+        rows[2] = ",".join(cells)
+        path.write_text("\n".join(rows) + "\n")
+
+        out = tmp_path / "out"
+        flag = "--" + table.split(".")[0]
+        result = runner.invoke(cli, [command, flag, str(path), "--out", str(out)])
+        assert_clean_failure(result)
+        assert f"{table}:3: column '{column}': not a number: 'n/a'" in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["all"], ["report", "--table2-mode", "weighted"],
+        ["report", "--quartile-scope", "per-sector", "--table2-mode", "weighted"],
     ])
     def test_one_indicator_pass_and_classification_per_command(
         self, runner, data_dir, tmp_path, monkeypatch, argv
     ):
         from collabmetrics import corpus, indicators
 
-        calls = {"classify": 0, "compute": 0}
+        calls = {"classify": 0, "compute": 0, "impact": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -245,9 +294,12 @@ class TestPipeline:
                             counted("classify", corpus.classify_collaboration))
         monkeypatch.setattr(indicators, "compute_indicators",
                             counted("compute", indicators.compute_indicators))
-        n_pubs = len((data_dir / "publications.jsonl").read_text().splitlines())
+        monkeypatch.setattr(corpus, "_raw_impact", counted("impact", corpus._raw_impact))
+        pubs = [json.loads(line) for line in
+                (data_dir / "publications.jsonl").read_text().splitlines()]
+        credited = sum(len({a["sds"] for a in p["attributions"]}) for p in pubs)
         result = runner.invoke(
             cli, argv[:1] + corpus_args(data_dir) + ["--out", str(tmp_path / "out")] + argv[1:]
         )
         assert result.exit_code == 0, result.output
-        assert calls == {"classify": n_pubs, "compute": 1}
+        assert calls == {"classify": len(pubs), "compute": 1, "impact": credited}

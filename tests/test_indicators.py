@@ -18,7 +18,6 @@ from collabmetrics.indicators import (
     IndicatorError,
     compute_indicators,
     fractional_contribution,
-    normalized_impact_factor,
 )
 
 from oracles import close_or_both_none, make_random_corpus, naive_indicator_oracle
@@ -81,8 +80,8 @@ class TestNormalizedImpactFactor:
         corpus = build_corpus(
             [pub(f"p{i}", "J1", {"UA"}) for i in range(5)], journals
         )
-        nif = normalized_impact_factor(corpus, "S1")
-        assert nif[("J1", 2001)].value == pytest.approx(1.0)
+        nif = corpus.normalized_ifs["S1"]
+        assert nif[("J1", 2001)] == pytest.approx(1.0)
 
     def test_two_journals_forced_values(self):
         journals = {
@@ -92,9 +91,9 @@ class TestNormalizedImpactFactor:
         corpus = build_corpus(
             [pub("p1", "J1", {"UA"}), pub("p2", "J2", {"UA"})], journals
         )
-        nif = normalized_impact_factor(corpus, "S1")
-        assert nif[("J1", 2001)].value == pytest.approx(0.5)
-        assert nif[("J2", 2001)].value == pytest.approx(1.5)
+        nif = corpus.normalized_ifs["S1"]
+        assert nif[("J1", 2001)] == pytest.approx(0.5)
+        assert nif[("J2", 2001)] == pytest.approx(1.5)
 
     def test_lognormal_sector_mean_is_one(self):
         rng = np.random.default_rng(17)
@@ -105,21 +104,21 @@ class TestNormalizedImpactFactor:
             journals[jid] = Journal(jid, {2001: float(rng.lognormal(0.2, 0.8))})
             pubs.append(pub(f"p{i}", jid, {"UA"}))
         corpus = build_corpus(pubs, journals)
-        nif = normalized_impact_factor(corpus, "S1")
+        nif = corpus.normalized_ifs["S1"]
         mean = math.fsum(
-            nif[(p.journal_id, p.year)].value for p in corpus.publications
+            nif[(p.journal_id, p.year)] for p in corpus.publications
         ) / len(corpus.publications)
         assert abs(mean - 1.0) <= 1e-9
 
     def test_empty_sector_gives_empty_map(self):
         corpus = build_corpus([], {"J1": Journal("J1", {2001: 1.0})})
-        assert normalized_impact_factor(corpus, "S1") == {}
+        assert corpus.normalized_ifs == {}
 
     def test_missing_impact_factor_names_pair(self):
         journals = {"J1": Journal("J1", {2002: 1.0})}
         corpus = build_corpus([pub("p1", "J1", {"UA"}, year=2001)], journals)
         with pytest.raises(IndicatorError, match="'J1' year 2001"):
-            normalized_impact_factor(corpus, "S1")
+            corpus.normalized_ifs
 
 
 def hand_worked_corpus():
