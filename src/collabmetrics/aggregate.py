@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .corpus import SectorMap
+from .corpus import CorpusLoadError, SectorMap, _parse_numbers, _read_csv
 from .indicators import IndicatorRecord
 
 # aggregate field -> indicator record field feeding its normalization
@@ -226,6 +226,8 @@ AGGREGATES_HEADER = [
     "staff", "n_sectors", "excluded",
 ]
 
+_NUMBER_KINDS = dict.fromkeys(AGGREGATES_HEADER[2:12]) | {"staff": float, "n_sectors": int}
+
 
 def _cell(value) -> str:
     return "" if value is None else repr(value)
@@ -251,37 +253,15 @@ def write_aggregates_csv(
 def read_aggregates_csv(path) -> FilterResult:
     kept = []
     excluded = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != AGGREGATES_HEADER:
-            raise AggregateError(f"{path}: unexpected aggregates header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(AGGREGATES_HEADER):
-                raise AggregateError(f"{path}:{lineno}: malformed row {row}")
-            values = {}
-            for name, cell in zip(AGGREGATES_HEADER[2:12], row[2:12]):
-                try:
-                    if name == "n_sectors":
-                        values[name] = int(cell)
-                    elif name == "staff":
-                        values[name] = float(cell)
-                    else:
-                        values[name] = None if cell == "" else float(cell)
-                except ValueError:
-                    raise AggregateError(
-                        f"{path}:{lineno}: column '{name}': not a number: {cell!r}"
-                    ) from None
-            agg = AreaAggregate(
-                university=row[0],
-                area=row[1],
-                total_staff=values.pop("staff"),
-                **values,
+    for lineno, row in _read_csv(path, AGGREGATES_HEADER):
+        values = _parse_numbers(path, lineno, _NUMBER_KINDS, row[2:12])
+        agg = AreaAggregate(row[0], row[1], total_staff=values.pop("staff"), **values)
+        if row[12] == "true":
+            excluded.append(Exclusion(agg.university, agg.area, agg.total_staff))
+        elif row[12] == "false":
+            kept.append(agg)
+        else:
+            raise CorpusLoadError(
+                path, lineno, f"column 'excluded': expected true or false, got {row[12]!r}"
             )
-            if row[12] == "true":
-                excluded.append(Exclusion(agg.university, agg.area, agg.total_staff))
-            else:
-                kept.append(agg)
     return FilterResult(kept=tuple(kept), excluded=tuple(excluded))

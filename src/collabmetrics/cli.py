@@ -72,6 +72,13 @@ def _write_manifest(out_dir: Path, command: str, config: dict, inputs: list[Path
         fh.write("\n")
 
 
+def _prepare_out_dir(out_dir: Path) -> None:
+    """Create the output directory and remove an earlier run's manifest, so
+    that a run failing part-way leaves no manifest beside its outputs."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / MANIFEST_FILENAME).unlink(missing_ok=True)
+
+
 def _fail(message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(1)
@@ -152,7 +159,7 @@ def indicators(out_dir: Path, **kw):
     """Compute per-(university, sector) indicators."""
     corpus = _load(kw)
     records = _compute_records(corpus)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _prepare_out_dir(out_dir)
     ind.write_indicators_csv(records, corpus.sectors, out_dir / INDICATORS_FILENAME)
     _write_manifest(out_dir, "indicators", _config_echo(kw), _corpus_inputs(kw))
     click.echo(f"wrote {len(records)} records to {out_dir / INDICATORS_FILENAME}")
@@ -173,9 +180,9 @@ def aggregate(indicators_path: Path, out_dir: Path, ci_mode: str, threshold: flo
     try:
         records, sectors = ind.read_indicators_csv(indicators_path)
         aggregates, result = _aggregate_records(records, sectors, ci_mode, threshold)
-    except (ind.IndicatorError, agg.AggregateError) as exc:
+    except (CorpusError, agg.AggregateError) as exc:
         _fail(str(exc))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _prepare_out_dir(out_dir)
     agg.write_aggregates_csv(aggregates, result.excluded, out_dir / AGGREGATES_FILENAME)
     _write_manifest(
         out_dir, "aggregate",
@@ -204,7 +211,7 @@ def report(out_dir: Path, quartile_scope: str, table2_mode: str, top_n: int, **k
     """Build the cross-tab, area profile, dispersion and top-sector tables."""
     corpus = _load(kw)
     records = _compute_records(corpus)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _prepare_out_dir(out_dir)
     try:
         _write_reports(corpus, records, out_dir, quartile_scope, table2_mode, top_n)
     except (reports.ReportError, ind.IndicatorError, ValueError) as exc:
@@ -227,9 +234,9 @@ def correlate(aggregates_path: Path, out_dir: Path):
     """Correlate performance indicators with each collaboration metric."""
     try:
         result = agg.read_aggregates_csv(aggregates_path)
-    except agg.AggregateError as exc:
+    except CorpusError as exc:
         _fail(str(exc))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _prepare_out_dir(out_dir)
     _write_correlations(result.kept, out_dir)
     _write_manifest(out_dir, "correlate", {}, [aggregates_path])
     click.echo(f"wrote correlation tables to {out_dir}")
@@ -249,7 +256,7 @@ def synth_command(seed: int, params_path: Path | None, out_dir: Path):
         result = synth.generate_corpus(params)
     except (synth.SynthParamsError, json.JSONDecodeError, TypeError) as exc:
         _fail(str(exc))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _prepare_out_dir(out_dir)
     synth.write_synthetic(result, out_dir)
     _write_manifest(
         out_dir, "synth",
@@ -279,7 +286,7 @@ def run_all(out_dir: Path, ci_mode: str, threshold: float, quartile_scope: str,
             table2_mode: str, top_n: int, **kw):
     """Run validate, indicators, aggregate, report and correlate."""
     corpus = _load(kw)  # checked load doubles as the validate stage
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _prepare_out_dir(out_dir)
     try:
         records = _compute_records(corpus)
         ind.write_indicators_csv(records, corpus.sectors, out_dir / INDICATORS_FILENAME)

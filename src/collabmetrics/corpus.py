@@ -1,8 +1,10 @@
 """Corpus model and I/O: publications, organizations, journals, staff, sectors.
 
-The loaders are strict about file shape (they fail fast with file/line
-context); referential consistency is checked separately by
-``validate_corpus`` so that broken corpora can still be inspected.
+Each record invariant has one check, called by the loaders (which fail fast
+with file/line context, after the file-shape checks only a raw row needs)
+and by ``validate_corpus``, which also checks references across files; a
+loader does not, so that broken corpora can still be inspected.  The stage
+tables (indicators.csv, aggregates.csv) are read by the same strict reader.
 A loaded ``Corpus`` is immutable and safe to share across threads.
 """
 
@@ -252,6 +254,61 @@ def classify_collaboration(
 
 
 # ---------------------------------------------------------------------------
+# Record invariants: the (field, message) problems of one record, shared by
+# the loaders (which raise the first) and validate_corpus (which reports all)
+
+Problems = list[tuple[str, str]]
+
+
+def _period_problems(year: int, period: tuple[int, int]) -> Problems:
+    if period[0] <= year <= period[1]:
+        return []
+    return [("year", f"year {year} outside period {period[0]}-{period[1]}")]
+
+
+def _organization_problems(org: Organization, home_country: str) -> Problems:
+    if (org.org_class is OrgClass.FOREIGN) == (org.country != home_country):
+        return []
+    return [("class", f"class {org.org_class.value} inconsistent with country "
+                      f"'{org.country}' (home country '{home_country}')")]
+
+
+def _impact_problems(year: int, impact: float) -> Problems:
+    if math.isfinite(impact) and impact >= 0:
+        return []
+    return [("impact_factor",
+             f"negative or non-finite impact factor {impact} for year {year}")]
+
+
+def _staff_problems(year: int, headcount: int, period: tuple[int, int]) -> Problems:
+    problems = _period_problems(year, period)
+    if not isinstance(headcount, int) or headcount < 0:
+        problems.append(("headcount", f"non-integer or negative headcount {headcount!r}"))
+    return problems
+
+
+def _publication_problems(pub: Publication, period: tuple[int, int], seen: set[str]) -> Problems:
+    """Problems of one publication; ``seen`` holds the ids of the
+    publications before it and gains this one."""
+    problems = _period_problems(pub.year, period)
+    if pub.pub_id in seen:
+        problems.append(("id", f"duplicate publication id '{pub.pub_id}'"))
+    seen.add(pub.pub_id)
+    if not pub.org_ids:
+        problems.append(("orgs", "empty organization set"))
+    if not pub.attributions:
+        problems.append(("attributions", "empty attribution list"))
+    elif len(pub.attributions) > 1:
+        pairs = set()
+        for att in pub.attributions:
+            if (att.university, att.sds) in pairs:
+                problems.append(("attributions",
+                                 f"duplicate attribution ({att.university}, {att.sds})"))
+            pairs.add((att.university, att.sds))
+    return problems
+
+
+# ---------------------------------------------------------------------------
 # Validation
 
 
@@ -299,30 +356,19 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
     period = corpus.period
 
     for org in corpus.organizations.values():
-        is_foreign = org.org_class is OrgClass.FOREIGN
-        if is_foreign != (org.country != corpus.home_country):
-            error(
-                f"organizations[{org.org_id}]",
-                f"class {org.org_class.value} inconsistent with country "
-                f"'{org.country}' (home country '{corpus.home_country}')",
-            )
+        for _field, message in _organization_problems(org, corpus.home_country):
+            error(f"organizations[{org.org_id}]", message)
 
     for journal in corpus.journals.values():
         if not journal.impact_factor_by_year:
             error(f"journals[{journal.journal_id}]", "no impact factor years")
         for year, impact in journal.impact_factor_by_year.items():
-            if not math.isfinite(impact) or impact < 0:
-                error(
-                    f"journals[{journal.journal_id}]",
-                    f"negative or non-finite impact factor {impact} for year {year}",
-                )
+            for _field, message in _impact_problems(year, impact):
+                error(f"journals[{journal.journal_id}]", message)
 
     for (univ, sds, year), headcount in corpus.staff.entries.items():
-        loc = f"staff[{univ},{sds},{year}]"
-        if not isinstance(headcount, int) or headcount < 0:
-            error(loc, f"headcount must be a non-negative integer, got {headcount!r}")
-        if not period[0] <= year <= period[1]:
-            error(loc, f"year {year} outside period {period[0]}-{period[1]}")
+        for _field, message in _staff_problems(year, headcount, period):
+            error(f"staff[{univ},{sds},{year}]", message)
 
     missing_journals: dict[str, int] = {}
     missing_orgs: dict[str, int] = {}
@@ -339,15 +385,8 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
 
     for pub in corpus.publications:
         loc = f"publications[{pub.pub_id}]"
-        if pub.pub_id in seen_pub_ids:
-            error(loc, "duplicate publication id")
-        seen_pub_ids.add(pub.pub_id)
-        if not pub.org_ids:
-            error(loc, "empty organization set")
-        if not pub.attributions:
-            error(loc, "empty attribution list")
-        if not period[0] <= pub.year <= period[1]:
-            error(loc, f"year {pub.year} outside period {period[0]}-{period[1]}")
+        for _field, message in _publication_problems(pub, period, seen_pub_ids):
+            error(loc, message)
 
         journal = corpus.journals.get(pub.journal_id)
         if journal is None:
@@ -360,11 +399,7 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
             if oid not in corpus.organizations:
                 missing_orgs[oid] = missing_orgs.get(oid, 0) + 1
 
-        seen_pairs = set()
         for att in pub.attributions:
-            if (att.university, att.sds) in seen_pairs:
-                error(loc, f"duplicate attribution ({att.university}, {att.sds})")
-            seen_pairs.add((att.university, att.sds))
             org = corpus.organizations.get(att.university)
             if org is None:
                 missing_universities[att.university] = (
@@ -467,6 +502,32 @@ def _parse_int(path, lineno, field_name, raw) -> int:
         raise CorpusLoadError(path, lineno, f"not an integer: {raw!r}", field_name) from None
 
 
+def _parse_numbers(path, lineno: int, kinds: Mapping[str, type | None], cells) -> dict:
+    """The numeric cells of one stage-table row by column name.  ``kinds``
+    maps each column, in row order, to ``int``, ``float`` or ``None`` (a
+    float that may be undefined, written empty); nan and inf are rejected."""
+    values = {}
+    for (name, kind), cell in zip(kinds.items(), cells):
+        if kind is None and cell == "":
+            values[name] = None
+            continue
+        try:
+            value = (kind or float)(cell)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):  # unparsable, nan or inf
+            raise CorpusLoadError(path, lineno, f"column '{name}': not a number: {cell!r}")
+        values[name] = value
+    return values
+
+
+def _raise_first(path, lineno: int, problems: Problems) -> None:
+    """Raise the first problem of a loaded record as an error at its line."""
+    if problems:
+        field, message = problems[0]
+        raise CorpusLoadError(path, lineno, message, field)
+
+
 def load_organizations(path, home_country: str) -> dict[str, Organization]:
     orgs: dict[str, Organization] = {}
     for lineno, (org_id, name, raw_class, country) in _read_csv(path, ORG_HEADER):
@@ -480,16 +541,9 @@ def load_organizations(path, home_country: str) -> dict[str, Organization]:
             raise CorpusLoadError(
                 path, lineno, f"unknown organization class {raw_class!r}", "class"
             ) from None
-        is_foreign = org_class is OrgClass.FOREIGN
-        if is_foreign != (country != home_country):
-            raise CorpusLoadError(
-                path,
-                lineno,
-                f"class {org_class.value} inconsistent with country '{country}' "
-                f"(home country '{home_country}')",
-                "class",
-            )
-        orgs[org_id] = Organization(org_id, name, org_class, country)
+        org = Organization(org_id, name, org_class, country)
+        _raise_first(path, lineno, _organization_problems(org, home_country))
+        orgs[org_id] = org
     return orgs
 
 
@@ -505,11 +559,7 @@ def load_journals(path) -> dict[str, Journal]:
             raise CorpusLoadError(
                 path, lineno, f"not a number: {raw_if!r}", "impact_factor"
             ) from None
-        if not math.isfinite(impact) or impact < 0:
-            raise CorpusLoadError(
-                path, lineno, f"negative or non-finite impact factor {raw_if!r}",
-                "impact_factor",
-            )
+        _raise_first(path, lineno, _impact_problems(year, impact))
         years = by_journal.setdefault(journal_id, {})
         if year in years:
             raise CorpusLoadError(
@@ -523,15 +573,8 @@ def load_staff(path, period: tuple[int, int]) -> StaffRoster:
     entries: dict[tuple[str, str, int], int] = {}
     for lineno, (university, sds, raw_year, raw_head) in _read_csv(path, STAFF_HEADER):
         year = _parse_int(path, lineno, "year", raw_year)
-        if not period[0] <= year <= period[1]:
-            raise CorpusLoadError(
-                path, lineno, f"year {year} outside period {period[0]}-{period[1]}", "year"
-            )
         headcount = _parse_int(path, lineno, "headcount", raw_head)
-        if headcount < 0:
-            raise CorpusLoadError(
-                path, lineno, f"negative headcount {headcount}", "headcount"
-            )
+        _raise_first(path, lineno, _staff_problems(year, headcount, period))
         key = (university, sds, year)
         if key in entries:
             raise CorpusLoadError(
@@ -573,17 +616,10 @@ def load_publications(path, period: tuple[int, int]) -> tuple[Publication, ...]:
             pub_id = obj["id"]
             if not isinstance(pub_id, str) or not pub_id:
                 raise CorpusLoadError(path, lineno, "must be a non-empty string", "id")
-            if pub_id in seen_ids:
-                raise CorpusLoadError(path, lineno, f"duplicate publication id '{pub_id}'", "id")
-            seen_ids.add(pub_id)
 
             year = obj["year"]
             if isinstance(year, bool) or not isinstance(year, int):
                 raise CorpusLoadError(path, lineno, "must be an integer", "year")
-            if not period[0] <= year <= period[1]:
-                raise CorpusLoadError(
-                    path, lineno, f"year {year} outside period {period[0]}-{period[1]}", "year"
-                )
 
             journal = obj["journal"]
             if not isinstance(journal, str) or not journal:
@@ -592,18 +628,13 @@ def load_publications(path, period: tuple[int, int]) -> tuple[Publication, ...]:
             orgs = obj["orgs"]
             if not isinstance(orgs, list) or not all(isinstance(o, str) for o in orgs):
                 raise CorpusLoadError(path, lineno, "must be a list of strings", "orgs")
-            if not orgs:
-                raise CorpusLoadError(path, lineno, "empty organization set", "orgs")
             if len(set(orgs)) != len(orgs):
                 raise CorpusLoadError(path, lineno, "duplicate organization ids", "orgs")
 
             raw_atts = obj["attributions"]
-            if not isinstance(raw_atts, list) or not raw_atts:
-                raise CorpusLoadError(
-                    path, lineno, "must be a non-empty list", "attributions"
-                )
+            if not isinstance(raw_atts, list):
+                raise CorpusLoadError(path, lineno, "must be a list", "attributions")
             attributions = []
-            seen_pairs = set()
             for raw in raw_atts:
                 if (
                     not isinstance(raw, dict)
@@ -616,23 +647,17 @@ def load_publications(path, period: tuple[int, int]) -> tuple[Publication, ...]:
                         "each attribution needs string fields 'university' and 'sds'",
                         "attributions",
                     )
-                pair = (raw["university"], raw["sds"])
-                if pair in seen_pairs:
-                    raise CorpusLoadError(
-                        path, lineno, f"duplicate attribution {pair}", "attributions"
-                    )
-                seen_pairs.add(pair)
-                attributions.append(Attribution(university=pair[0], sds=pair[1]))
+                attributions.append(Attribution(raw["university"], raw["sds"]))
 
-            pubs.append(
-                Publication(
-                    pub_id=pub_id,
-                    year=year,
-                    journal_id=journal,
-                    org_ids=frozenset(orgs),
-                    attributions=tuple(attributions),
-                )
+            pub = Publication(
+                pub_id=pub_id,
+                year=year,
+                journal_id=journal,
+                org_ids=frozenset(orgs),
+                attributions=tuple(attributions),
             )
+            _raise_first(path, lineno, _publication_problems(pub, period, seen_ids))
+            pubs.append(pub)
     return tuple(pubs)
 
 

@@ -15,7 +15,8 @@ import csv
 import math
 from dataclasses import dataclass, fields
 
-from .corpus import CollabProfile, Corpus, IndicatorError, Publication, SectorMap
+from .corpus import CollabProfile, Corpus, CorpusLoadError, IndicatorError, Publication
+from .corpus import SectorMap, _parse_numbers, _read_csv
 
 
 @dataclass(frozen=True)
@@ -146,6 +147,10 @@ INDICATORS_HEADER = [
 
 _VALUE_COLUMNS = INDICATORS_HEADER[3:]
 
+_VALUE_KINDS = dict.fromkeys(_VALUE_COLUMNS) | {
+    "O": int, "FO": float, "SS": float, "FSS": float, "staff": float,
+}
+
 
 def _cell(value) -> str:
     if value is None:
@@ -167,34 +172,13 @@ def read_indicators_csv(path) -> tuple[list[IndicatorRecord], SectorMap]:
     """Parse a persisted indicators table back into records plus sector map."""
     records: list[IndicatorRecord] = []
     sector_entries: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != INDICATORS_HEADER:
-            raise IndicatorError(f"{path}: unexpected indicators header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(INDICATORS_HEADER):
-                raise IndicatorError(f"{path}:{lineno}: malformed row {row}")
-            univ, sds, area = row[0], row[1], row[2]
-            known = sector_entries.setdefault(sds, area)
-            if known != area:
-                raise IndicatorError(
-                    f"{path}: sds '{sds}' mapped to both '{known}' and '{area}'"
-                )
-            values: dict[str, float | int | None] = {}
-            for name, cell in zip(_VALUE_COLUMNS, row[3:]):
-                try:
-                    if cell == "":
-                        values[name] = None
-                    elif name == "O":
-                        values[name] = int(cell)
-                    else:
-                        values[name] = float(cell)
-                except ValueError:
-                    raise IndicatorError(
-                        f"{path}:{lineno}: column '{name}': not a number: {cell!r}"
-                    ) from None
-            records.append(IndicatorRecord(university=univ, sds=sds, **values))
+    for lineno, row in _read_csv(path, INDICATORS_HEADER):
+        univ, sds, area = row[0], row[1], row[2]
+        known = sector_entries.setdefault(sds, area)
+        if known != area:
+            raise CorpusLoadError(
+                path, lineno, f"sds '{sds}' mapped to both '{known}' and '{area}'", "area"
+            )
+        values = _parse_numbers(path, lineno, _VALUE_KINDS, row[3:])
+        records.append(IndicatorRecord(university=univ, sds=sds, **values))
     return records, SectorMap(entries=sector_entries)

@@ -249,29 +249,64 @@ class TestPipeline:
         assert result.exit_code == 2, result.output
         assert not out.exists()
 
-    @pytest.mark.parametrize("command,column,table", [
-        ("aggregate", "FO", "indicators.csv"),
-        ("correlate", "QI", "aggregates.csv"),
+    @pytest.mark.parametrize("command,column,table,cell,message", [
+        pytest.param("aggregate", "FO", "indicators.csv", b"n/a",
+                     "column 'FO': not a number: 'n/a'", id="aggregate-FO-indicators.csv"),
+        pytest.param("correlate", "QI", "aggregates.csv", b"n/a",
+                     "column 'QI': not a number: 'n/a'", id="correlate-QI-aggregates.csv"),
+        pytest.param("aggregate", "P", "indicators.csv", b"nan",
+                     "column 'P': not a number: 'nan'", id="aggregate-P-nan"),
+        pytest.param("aggregate", "FO", "indicators.csv", b"inf",
+                     "column 'FO': not a number: 'inf'", id="aggregate-FO-inf"),
+        pytest.param("correlate", "QI", "aggregates.csv", b"nan",
+                     "column 'QI': not a number: 'nan'", id="correlate-QI-nan"),
+        pytest.param("aggregate", "university", "indicators.csv", b"U\xff",
+                     "not valid UTF-8", id="aggregate-non-utf8"),
+        pytest.param("correlate", "university", "aggregates.csv", b"U\xff",
+                     "not valid UTF-8", id="correlate-non-utf8"),
+        pytest.param("aggregate", "staff", "indicators.csv", b"",
+                     "column 'staff': not a number: ''", id="aggregate-empty-staff"),
+        pytest.param("correlate", "excluded", "aggregates.csv", b"maybe",
+                     "column 'excluded': expected true or false, got 'maybe'",
+                     id="correlate-excluded-maybe"),
     ])
     def test_malformed_stage_input_reports_location(
-        self, runner, data_dir, tmp_path, command, column, table
+        self, runner, data_dir, tmp_path, command, column, table, cell, message
     ):
         full = tmp_path / "full"
         result = runner.invoke(cli, ["all"] + corpus_args(data_dir) + ["--out", str(full)])
         assert result.exit_code == 0, result.output
         path = full / table
-        rows = path.read_text().splitlines()
-        cells = rows[2].split(",")
-        cells[rows[0].split(",").index(column)] = "n/a"
-        rows[2] = ",".join(cells)
-        path.write_text("\n".join(rows) + "\n")
+        rows = path.read_bytes().splitlines()
+        cells = rows[2].split(b",")
+        cells[rows[0].decode().split(",").index(column)] = cell
+        rows[2] = b",".join(cells)
+        path.write_bytes(b"\n".join(rows) + b"\n")
 
         out = tmp_path / "out"
         flag = "--" + table.split(".")[0]
         result = runner.invoke(cli, [command, flag, str(path), "--out", str(out)])
         assert_clean_failure(result)
-        assert f"{table}:3: column '{column}': not a number: 'n/a'" in result.output
+        assert f"{table}:3: {message}" in result.output
         assert not out.exists()
+
+    def test_failed_rerun_leaves_no_stale_manifest(self, runner, tmp_path):
+        # a sector of this corpus has fewer than 4 publications
+        data = tmp_path / "data"
+        write_synthetic(
+            generate_corpus(SynthParams(seed=42, n_universities=2, staff_range=(2, 5))), data
+        )
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["all"] + corpus_args(data) + ["--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert (out / "run_manifest.json").exists()
+
+        result = runner.invoke(
+            cli, ["all"] + corpus_args(data) + ["--out", str(out), "--quartile-scope", "per-sector"]
+        )
+        assert_clean_failure(result)
+        assert "per-sector quartiles need at least 4" in result.output
+        assert not (out / "run_manifest.json").exists()
 
     @pytest.mark.parametrize("argv", [
         ["all"], ["report", "--table2-mode", "weighted"],

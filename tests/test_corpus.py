@@ -287,6 +287,82 @@ class TestValidate:
         assert any("dangling sds" in m for m in messages)
 
 
+PUB_LINE = {
+    "id": "p1", "year": 2001, "journal": "J1", "orgs": ["UA"],
+    "attributions": [{"university": "UA", "sds": "S1"}],
+}
+ATT = Attribution("UA", "S1")
+
+
+def pub_with(**fields):
+    return Publication(**{"pub_id": "p1", "year": 2001, "journal_id": "J1",
+                          "org_ids": frozenset({"UA"}), "attributions": (ATT,), **fields})
+
+
+# each record invariant: the faulty file (key, content), and the same fault
+# built in code on the valid minimal corpus
+INVARIANT_FAULTS = {
+    "class-country": (
+        "orgs", "org_id,name,class,country\nUA,University A,UNIV_DOMESTIC,FR\n",
+        lambda c: dataclasses.replace(c, organizations={
+            "UA": Organization("UA", "University A", OrgClass.UNIV_DOMESTIC, "FR")}),
+    ),
+    "impact-factor": (
+        "journals", "journal_id,year,impact_factor\nJ1,2001,-1.5\n",
+        lambda c: dataclasses.replace(c, journals={"J1": Journal("J1", {2001: -1.5})}),
+    ),
+    "headcount": (
+        "staff", "university,sds,year,headcount\nUA,S1,2001,-3\n",
+        lambda c: dataclasses.replace(c, staff=StaffRoster({("UA", "S1", 2001): -3})),
+    ),
+    "staff-year": (
+        "staff", "university,sds,year,headcount\nUA,S1,1999,4\n",
+        lambda c: dataclasses.replace(c, staff=StaffRoster({("UA", "S1", 1999): 4})),
+    ),
+    "publication-id": (
+        "pubs", [PUB_LINE, PUB_LINE],
+        lambda c: dataclasses.replace(c, publications=(pub_with(), pub_with())),
+    ),
+    "publication-year": (
+        "pubs", [{**PUB_LINE, "year": 1999}],
+        lambda c: dataclasses.replace(c, publications=(pub_with(year=1999),)),
+    ),
+    "organization-set": (
+        "pubs", [{**PUB_LINE, "orgs": []}],
+        lambda c: dataclasses.replace(c, publications=(pub_with(org_ids=frozenset()),)),
+    ),
+    "attribution-list": (
+        "pubs", [{**PUB_LINE, "attributions": []}],
+        lambda c: dataclasses.replace(c, publications=(pub_with(attributions=()),)),
+    ),
+    "duplicate-attribution": (
+        "pubs", [{**PUB_LINE, "attributions": PUB_LINE["attributions"] * 2}],
+        lambda c: dataclasses.replace(c, publications=(pub_with(attributions=(ATT, ATT)),)),
+    ),
+}
+
+
+@pytest.mark.parametrize("key,content,fault", INVARIANT_FAULTS.values(),
+                         ids=INVARIANT_FAULTS.keys())
+def test_loader_and_validator_report_an_invariant_alike(tmp_path, key, content, fault):
+    corpus = load_from(write_minimal_files(tmp_path))
+    assert validate_corpus(corpus).issues == ()
+
+    if key == "pubs":
+        paths = write_minimal_files(tmp_path, pub_lines=content)
+    else:
+        paths = write_minimal_files(tmp_path)
+        paths[key].write_text(content, encoding="utf-8")
+    with pytest.raises(CorpusLoadError) as caught:
+        load_from(paths, check=False)
+    err = caught.value
+    prefix = f"{err.path}:{err.line}: field '{err.field}': "
+    assert str(err).startswith(prefix)
+
+    messages = [issue.message for issue in validate_corpus(fault(corpus)).errors]
+    assert str(err)[len(prefix):] in messages
+
+
 def make_pub(org_ids, attributions=(("UA", "S1"),)):
     return Publication(
         pub_id="p",
