@@ -9,12 +9,11 @@ universities below the staff threshold are flagged for exclusion.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .corpus import CorpusLoadError, SectorMap, _parse_numbers, _read_csv
+from .corpus import CorpusLoadError, SectorMap, _cell, _parse_numbers, _read_csv, _write_csv
 from .indicators import IndicatorRecord
 
 # aggregate field -> indicator record field feeding its normalization
@@ -229,25 +228,18 @@ AGGREGATES_HEADER = [
 _NUMBER_KINDS = dict.fromkeys(AGGREGATES_HEADER[2:12]) | {"staff": float, "n_sectors": int}
 
 
-def _cell(value) -> str:
-    return "" if value is None else repr(value)
-
-
 def write_aggregates_csv(
     aggregates: Iterable[AreaAggregate], excluded: Iterable[Exclusion], path
 ) -> None:
     flagged = {(e.university, e.area) for e in excluded}
     rows = sorted(aggregates, key=lambda a: (a.university, a.area))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(AGGREGATES_HEADER)
-        for agg in rows:
-            writer.writerow(
-                [agg.university, agg.area]
-                + [_cell(getattr(agg, name)) for name in AREA_INDICATORS]
-                + [repr(agg.total_staff), agg.n_sectors,
-                   "true" if (agg.university, agg.area) in flagged else "false"]
-            )
+    _write_csv(path, AGGREGATES_HEADER, (
+        [agg.university, agg.area]
+        + [_cell(getattr(agg, name)) for name in AREA_INDICATORS]
+        + [repr(agg.total_staff), agg.n_sectors,
+           "true" if (agg.university, agg.area) in flagged else "false"]
+        for agg in rows
+    ))
 
 
 def read_aggregates_csv(path) -> FilterResult:

@@ -5,10 +5,18 @@ input digests, no timestamps) so identical inputs always produce
 byte-identical output directories.  Intermediate tables
 (indicators.csv, aggregates.csv) are written at full precision and are
 valid stage inputs for partial reruns.
+
+Commands let library errors propagate: the ``cli`` group turns each one
+(a bad corpus or stage input, a failed computation, an unusable output
+path) into a single ``error:`` line and exit code 1.  Every command writes
+inside ``_writing``, which removes an earlier run's manifest first and
+writes the new one only after every output is written, so a manifest
+never stands beside the outputs of a failed run.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import sys
@@ -19,25 +27,11 @@ import click
 from . import aggregate as agg
 from . import indicators as ind
 from . import reports, synth
-from .corpus import (
-    Corpus,
-    CorpusConfig,
-    CorpusError,
-    load_corpus,
-    validate_corpus,
-)
+from .corpus import Corpus, CorpusConfig, CorpusError, load_corpus, validate_corpus
 
 INDICATORS_FILENAME = "indicators.csv"
 AGGREGATES_FILENAME = "aggregates.csv"
 MANIFEST_FILENAME = "run_manifest.json"
-
-REPORT_FILENAMES = {
-    "crosstab": "crosstab.csv",
-    "area_profile": "area_profile.csv",
-    "dispersion": "dispersion.csv",
-    "top_fci": "top_sectors_fci.csv",
-    "top_dci": "top_sectors_dci.csv",
-}
 
 
 def _parse_period(raw: str) -> tuple[int, int]:
@@ -61,7 +55,13 @@ def _digest(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, inputs: list[Path]) -> None:
+@contextlib.contextmanager
+def _writing(out_dir: Path, command: str, config: dict, inputs: list[Path]):
+    """Create ``out_dir`` without an earlier run's manifest for the block to
+    write into, and write this run's manifest once the block completes."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / MANIFEST_FILENAME).unlink(missing_ok=True)
+    yield
     manifest = {
         "command": command,
         "config": config,
@@ -72,70 +72,95 @@ def _write_manifest(out_dir: Path, command: str, config: dict, inputs: list[Path
         fh.write("\n")
 
 
-def _prepare_out_dir(out_dir: Path) -> None:
-    """Create the output directory and remove an earlier run's manifest, so
-    that a run failing part-way leaves no manifest beside its outputs."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / MANIFEST_FILENAME).unlink(missing_ok=True)
-
-
 def _fail(message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(1)
 
 
-corpus_options = [
-    click.option("--pubs", "pub_path", required=True,
-                 type=click.Path(exists=True, dir_okay=False, path_type=Path),
-                 help="publications.jsonl input"),
-    click.option("--orgs", "org_path", required=True,
-                 type=click.Path(exists=True, dir_okay=False, path_type=Path),
-                 help="organizations.csv input"),
-    click.option("--journals", "journal_path", required=True,
-                 type=click.Path(exists=True, dir_okay=False, path_type=Path),
-                 help="journals.csv input"),
-    click.option("--staff", "staff_path", required=True,
-                 type=click.Path(exists=True, dir_okay=False, path_type=Path),
-                 help="staff.csv input"),
-    click.option("--sectors", "sector_path", required=True,
-                 type=click.Path(exists=True, dir_okay=False, path_type=Path),
-                 help="sectors.csv input"),
+INPUT_FILE = click.Path(exists=True, dir_okay=False, path_type=Path)
+
+# the five corpus files, in load_corpus order; the flag names are manifest keys
+CORPUS_FILES = ("pubs", "orgs", "journals", "staff", "sectors")
+
+corpus_options = (
+    click.option("--pubs", required=True, type=INPUT_FILE, help="publications.jsonl input"),
+    click.option("--orgs", required=True, type=INPUT_FILE, help="organizations.csv input"),
+    click.option("--journals", required=True, type=INPUT_FILE, help="journals.csv input"),
+    click.option("--staff", required=True, type=INPUT_FILE, help="staff.csv input"),
+    click.option("--sectors", required=True, type=INPUT_FILE, help="sectors.csv input"),
     click.option("--home-country", default="IT", show_default=True,
                  help="ISO country code of the domestic system"),
     click.option("--period", default="2001-2003", show_default=True,
                  help="survey period, YYYY or YYYY-YYYY"),
-]
+)
+
+out_options = (
+    click.option("--out", "out_dir", required=True,
+                 type=click.Path(file_okay=False, path_type=Path),
+                 help="output directory"),
+)
+
+aggregate_options = (
+    click.option("--ci-mode", type=click.Choice(["share", "ratio"]), default="share",
+                 show_default=True, help="CI reading fed into normalization"),
+    click.option("--threshold", type=click.FloatRange(min=0, min_open=True),
+                 default=5.0, show_default=True, help="minimum period-average area staff"),
+)
+
+report_options = (
+    click.option("--quartile-scope", type=click.Choice(["global", "per-sector"]),
+                 default="global", show_default=True,
+                 help="impact-factor quartiles over all publications or within each sector"),
+    click.option("--table2-mode", type=click.Choice(["pooled", "weighted"]),
+                 default="pooled", show_default=True,
+                 help="area profile from pooled publications or staff-weighted cells"),
+    click.option("--top", "top_n", type=click.IntRange(min=1), default=1, show_default=True,
+                 help="sectors listed per area in the top-sector tables"),
+)
 
 
-def with_corpus_options(fn):
-    for option in reversed(corpus_options):
-        fn = option(fn)
-    return fn
+def with_options(*groups):
+    """Apply the option groups, in order, to a command function."""
+    def decorate(fn):
+        for option in reversed([option for group in groups for option in group]):
+            fn = option(fn)
+        return fn
+    return decorate
 
 
 def _corpus_inputs(kw: dict) -> list[Path]:
-    return [kw["pub_path"], kw["org_path"], kw["journal_path"],
-            kw["staff_path"], kw["sector_path"]]
+    return [kw[name] for name in CORPUS_FILES]
+
+
+def _config_echo(kw: dict, **extra) -> dict:
+    config = {name: str(kw[name]) for name in CORPUS_FILES}
+    return config | {"home_country": kw["home_country"], "period": kw["period"]} | extra
 
 
 def _load(kw: dict, *, check: bool = True) -> Corpus:
     config = CorpusConfig(home_country=kw["home_country"], period=_parse_period(kw["period"]))
-    try:
-        return load_corpus(
-            kw["pub_path"], kw["org_path"], kw["journal_path"],
-            kw["staff_path"], kw["sector_path"], config, check=check,
-        )
-    except CorpusError as exc:
-        _fail(str(exc))
+    return load_corpus(*_corpus_inputs(kw), config, check=check)
 
 
-@click.group()
+class _Pipeline(click.Group):
+    """The command group: each library error ends a command in one ``error:`` line
+    (SynthParamsError is a ValueError; OSError covers an unusable output path)."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (CorpusError, ind.IndicatorError, agg.AggregateError, reports.ReportError,
+                ValueError, OSError) as exc:
+            _fail(str(exc))
+
+
+@click.group(cls=_Pipeline)
 def cli():
     """Collaboration and productivity indicators from co-authorship corpora."""
 
 
 @cli.command()
-@with_corpus_options
+@with_options(corpus_options)
 def validate(**kw):
     """Check corpus files and report every consistency issue."""
     corpus = _load(kw, check=False)
@@ -151,118 +176,69 @@ def validate(**kw):
 
 
 @cli.command()
-@with_corpus_options
-@click.option("--out", "out_dir", required=True,
-              type=click.Path(file_okay=False, path_type=Path),
-              help="output directory")
+@with_options(corpus_options, out_options)
 def indicators(out_dir: Path, **kw):
     """Compute per-(university, sector) indicators."""
     corpus = _load(kw)
-    records = _compute_records(corpus)
-    _prepare_out_dir(out_dir)
-    ind.write_indicators_csv(records, corpus.sectors, out_dir / INDICATORS_FILENAME)
-    _write_manifest(out_dir, "indicators", _config_echo(kw), _corpus_inputs(kw))
+    records = ind.compute_indicators(corpus)
+    with _writing(out_dir, "indicators", _config_echo(kw), _corpus_inputs(kw)):
+        ind.write_indicators_csv(records, corpus.sectors, out_dir / INDICATORS_FILENAME)
     click.echo(f"wrote {len(records)} records to {out_dir / INDICATORS_FILENAME}")
 
 
 @cli.command()
-@click.option("--indicators", "indicators_path", required=True,
-              type=click.Path(exists=True, dir_okay=False, path_type=Path),
+@click.option("--indicators", "indicators_path", required=True, type=INPUT_FILE,
               help="indicators.csv produced by the indicators stage")
-@click.option("--out", "out_dir", required=True,
-              type=click.Path(file_okay=False, path_type=Path))
-@click.option("--ci-mode", type=click.Choice(["share", "ratio"]), default="share",
-              show_default=True, help="CI reading fed into normalization")
-@click.option("--threshold", type=click.FloatRange(min=0, min_open=True),
-              default=5.0, show_default=True, help="minimum period-average area staff")
+@with_options(out_options, aggregate_options)
 def aggregate(indicators_path: Path, out_dir: Path, ci_mode: str, threshold: float):
     """Normalize to sector means and aggregate to areas."""
-    try:
-        records, sectors = ind.read_indicators_csv(indicators_path)
-        aggregates, result = _aggregate_records(records, sectors, ci_mode, threshold)
-    except (CorpusError, agg.AggregateError) as exc:
-        _fail(str(exc))
-    _prepare_out_dir(out_dir)
-    agg.write_aggregates_csv(aggregates, result.excluded, out_dir / AGGREGATES_FILENAME)
-    _write_manifest(
-        out_dir, "aggregate",
-        {"ci_mode": ci_mode, "threshold": threshold},
-        [indicators_path],
-    )
-    for exclusion in result.excluded:
-        click.echo(
-            f"excluded {exclusion.university}/{exclusion.area} "
-            f"(area staff {exclusion.area_staff:g} < {threshold:g})"
-        )
+    records, sectors = ind.read_indicators_csv(indicators_path)
+    aggregates, result = _aggregate_records(records, sectors, ci_mode, threshold)
+    config = {"ci_mode": ci_mode, "threshold": threshold}
+    with _writing(out_dir, "aggregate", config, [indicators_path]):
+        agg.write_aggregates_csv(aggregates, result.excluded, out_dir / AGGREGATES_FILENAME)
     click.echo(f"wrote {len(aggregates)} aggregates to {out_dir / AGGREGATES_FILENAME}")
 
 
 @cli.command()
-@with_corpus_options
-@click.option("--out", "out_dir", required=True,
-              type=click.Path(file_okay=False, path_type=Path))
-@click.option("--quartile-scope", type=click.Choice(["global", "per-sector"]),
-              default="global", show_default=True)
-@click.option("--table2-mode", type=click.Choice(["pooled", "weighted"]),
-              default="pooled", show_default=True)
-@click.option("--top", "top_n", type=click.IntRange(min=1), default=1, show_default=True,
-              help="sectors listed per area in the top-sector tables")
+@with_options(corpus_options, out_options, report_options)
 def report(out_dir: Path, quartile_scope: str, table2_mode: str, top_n: int, **kw):
     """Build the cross-tab, area profile, dispersion and top-sector tables."""
     corpus = _load(kw)
-    records = _compute_records(corpus)
-    _prepare_out_dir(out_dir)
-    try:
+    records = ind.compute_indicators(corpus)
+    config = _config_echo(kw, quartile_scope=quartile_scope, table2_mode=table2_mode, top=top_n)
+    with _writing(out_dir, "report", config, _corpus_inputs(kw)):
         _write_reports(corpus, records, out_dir, quartile_scope, table2_mode, top_n)
-    except (reports.ReportError, ind.IndicatorError, ValueError) as exc:
-        _fail(str(exc))
-    _write_manifest(
-        out_dir, "report",
-        _config_echo(kw, quartile_scope=quartile_scope, table2_mode=table2_mode, top=top_n),
-        _corpus_inputs(kw),
-    )
     click.echo(f"wrote report tables to {out_dir}")
 
 
 @cli.command()
-@click.option("--aggregates", "aggregates_path", required=True,
-              type=click.Path(exists=True, dir_okay=False, path_type=Path),
+@click.option("--aggregates", "aggregates_path", required=True, type=INPUT_FILE,
               help="aggregates.csv produced by the aggregate stage")
-@click.option("--out", "out_dir", required=True,
-              type=click.Path(file_okay=False, path_type=Path))
+@with_options(out_options)
 def correlate(aggregates_path: Path, out_dir: Path):
     """Correlate performance indicators with each collaboration metric."""
-    try:
-        result = agg.read_aggregates_csv(aggregates_path)
-    except CorpusError as exc:
-        _fail(str(exc))
-    _prepare_out_dir(out_dir)
-    _write_correlations(result.kept, out_dir)
-    _write_manifest(out_dir, "correlate", {}, [aggregates_path])
+    result = agg.read_aggregates_csv(aggregates_path)
+    with _writing(out_dir, "correlate", {}, [aggregates_path]):
+        _write_correlations(result.kept, out_dir)
     click.echo(f"wrote correlation tables to {out_dir}")
 
 
 @cli.command("synth")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--params", "params_path",
-              type=click.Path(exists=True, dir_okay=False, path_type=Path),
+@click.option("--params", "params_path", type=INPUT_FILE,
               help="JSON file overriding generator parameters")
-@click.option("--out", "out_dir", required=True,
-              type=click.Path(file_okay=False, path_type=Path))
+@with_options(out_options)
 def synth_command(seed: int, params_path: Path | None, out_dir: Path):
     """Generate a seeded synthetic corpus with ground truth."""
     try:
         params = _load_synth_params(seed, params_path)
         result = synth.generate_corpus(params)
-    except (synth.SynthParamsError, json.JSONDecodeError, TypeError) as exc:
+    except TypeError as exc:  # a params value of the wrong type
         _fail(str(exc))
-    _prepare_out_dir(out_dir)
-    synth.write_synthetic(result, out_dir)
-    _write_manifest(
-        out_dir, "synth",
-        {"seed": seed, "params": str(params_path) if params_path else None},
-        [params_path] if params_path else [],
-    )
+    config = {"seed": seed, "params": str(params_path) if params_path else None}
+    with _writing(out_dir, "synth", config, [params_path] if params_path else []):
+        synth.write_synthetic(result, out_dir)
     click.echo(
         f"wrote synthetic corpus ({len(result.corpus.publications)} publications) "
         f"to {out_dir}"
@@ -270,60 +246,21 @@ def synth_command(seed: int, params_path: Path | None, out_dir: Path):
 
 
 @cli.command("all")
-@with_corpus_options
-@click.option("--out", "out_dir", required=True,
-              type=click.Path(file_okay=False, path_type=Path))
-@click.option("--ci-mode", type=click.Choice(["share", "ratio"]), default="share",
-              show_default=True)
-@click.option("--threshold", type=click.FloatRange(min=0, min_open=True),
-              default=5.0, show_default=True)
-@click.option("--quartile-scope", type=click.Choice(["global", "per-sector"]),
-              default="global", show_default=True)
-@click.option("--table2-mode", type=click.Choice(["pooled", "weighted"]),
-              default="pooled", show_default=True)
-@click.option("--top", "top_n", type=click.IntRange(min=1), default=1, show_default=True)
+@with_options(corpus_options, out_options, aggregate_options, report_options)
 def run_all(out_dir: Path, ci_mode: str, threshold: float, quartile_scope: str,
             table2_mode: str, top_n: int, **kw):
     """Run validate, indicators, aggregate, report and correlate."""
     corpus = _load(kw)  # checked load doubles as the validate stage
-    _prepare_out_dir(out_dir)
-    try:
-        records = _compute_records(corpus)
+    config = _config_echo(kw, ci_mode=ci_mode, threshold=threshold,
+                          quartile_scope=quartile_scope, table2_mode=table2_mode, top=top_n)
+    with _writing(out_dir, "all", config, _corpus_inputs(kw)):
+        records = ind.compute_indicators(corpus)
         ind.write_indicators_csv(records, corpus.sectors, out_dir / INDICATORS_FILENAME)
         aggregates, result = _aggregate_records(records, corpus.sectors, ci_mode, threshold)
         agg.write_aggregates_csv(aggregates, result.excluded, out_dir / AGGREGATES_FILENAME)
         _write_reports(corpus, records, out_dir, quartile_scope, table2_mode, top_n)
         _write_correlations(result.kept, out_dir)
-    except (ind.IndicatorError, agg.AggregateError, reports.ReportError, ValueError) as exc:
-        _fail(str(exc))
-    _write_manifest(
-        out_dir, "all",
-        _config_echo(kw, ci_mode=ci_mode, threshold=threshold,
-                     quartile_scope=quartile_scope, table2_mode=table2_mode, top=top_n),
-        _corpus_inputs(kw),
-    )
     click.echo(f"pipeline complete: {out_dir}")
-
-
-def _config_echo(kw: dict, **extra) -> dict:
-    config = {
-        "pubs": str(kw["pub_path"]),
-        "orgs": str(kw["org_path"]),
-        "journals": str(kw["journal_path"]),
-        "staff": str(kw["staff_path"]),
-        "sectors": str(kw["sector_path"]),
-        "home_country": kw["home_country"],
-        "period": kw["period"],
-    }
-    config.update(extra)
-    return config
-
-
-def _compute_records(corpus: Corpus) -> list[ind.IndicatorRecord]:
-    try:
-        return ind.compute_indicators(corpus)
-    except ind.IndicatorError as exc:
-        _fail(str(exc))
 
 
 def _aggregate_records(records, sectors, ci_mode: str, threshold: float):
@@ -334,22 +271,28 @@ def _aggregate_records(records, sectors, ci_mode: str, threshold: float):
             "normalized values undefined", err=True,
         )
     aggregates = agg.aggregate_area(normalized.cells, sectors)
-    return aggregates, agg.filter_small_universities(aggregates, threshold=threshold)
+    result = agg.filter_small_universities(aggregates, threshold=threshold)
+    for exclusion in result.excluded:
+        click.echo(
+            f"excluded {exclusion.university}/{exclusion.area} "
+            f"(area staff {exclusion.area_staff:g} < {threshold:g})"
+        )
+    return aggregates, result
 
 
 def _write_reports(corpus: Corpus, records: list[ind.IndicatorRecord], out_dir: Path,
                    quartile_scope: str, table2_mode: str, top_n: int) -> None:
     crosstab = reports.build_crosstab(corpus, quartile_scope=quartile_scope)
-    reports.emit_crosstab(crosstab, out_dir / REPORT_FILENAMES["crosstab"])
+    reports.emit_crosstab(crosstab, out_dir / "crosstab.csv")
     profile = reports.build_area_profile(corpus, records, mode=table2_mode)
-    reports.emit_area_profile(profile, out_dir / REPORT_FILENAMES["area_profile"])
+    reports.emit_area_profile(profile, out_dir / "area_profile.csv")
     dispersion, warnings = reports.build_dispersion_table(records, corpus.sectors)
     for message in warnings:
         click.echo(f"warning: {message}", err=True)
-    reports.emit_dispersion(dispersion, out_dir / REPORT_FILENAMES["dispersion"])
-    for metric, key in (("FCI", "top_fci"), ("DCI", "top_dci")):
+    reports.emit_dispersion(dispersion, out_dir / "dispersion.csv")
+    for metric in ("FCI", "DCI"):
         top = reports.build_top_sector_table(records, corpus.sectors, metric, top_n=top_n)
-        reports.emit_top_sectors(top, metric, out_dir / REPORT_FILENAMES[key])
+        reports.emit_top_sectors(top, metric, out_dir / f"top_sectors_{metric.lower()}.csv")
 
 
 def _write_correlations(kept, out_dir: Path) -> None:
@@ -361,9 +304,17 @@ def _write_correlations(kept, out_dir: Path) -> None:
 def _load_synth_params(seed: int, params_path: Path | None) -> synth.SynthParams:
     if params_path is None:
         return synth.SynthParams(seed=seed)
-    raw = json.loads(params_path.read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(params_path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise synth.SynthParamsError(f"{params_path}: {exc}") from None
     if not isinstance(raw, dict):
         raise synth.SynthParamsError("params file must hold a JSON object")
+    for key in ("area_propensity_overrides", "sds_propensity_overrides", "staff_overrides"):
+        if not isinstance(raw.get(key, {}), dict):
+            raise synth.SynthParamsError(f"{key} must be a JSON object")
+    if not isinstance(raw.get("planted_associations", []), list):
+        raise synth.SynthParamsError("planted_associations must be a JSON list")
     if "collab_propensities" in raw:
         raw["collab_propensities"] = synth.Propensities(**raw["collab_propensities"])
     for key in ("area_propensity_overrides", "sds_propensity_overrides"):
@@ -375,10 +326,9 @@ def _load_synth_params(seed: int, params_path: Path | None) -> synth.SynthParams
         raw["planted_associations"] = tuple(
             synth.PlantedAssociation(**assoc) for assoc in raw["planted_associations"]
         )
-    if "staff_range" in raw:
-        raw["staff_range"] = tuple(raw["staff_range"])
-    if "if_lognormal" in raw:
-        raw["if_lognormal"] = tuple(raw["if_lognormal"])
+    for key in ("staff_range", "if_lognormal"):
+        if key in raw:
+            raw[key] = tuple(raw[key])
     raw.setdefault("seed", seed)
     return synth.SynthParams(**raw)
 

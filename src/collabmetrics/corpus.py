@@ -502,10 +502,17 @@ def _parse_int(path, lineno, field_name, raw) -> int:
         raise CorpusLoadError(path, lineno, f"not an integer: {raw!r}", field_name) from None
 
 
+def _cell(value) -> str:
+    """A stage-table cell: full precision, undefined written empty."""
+    return "" if value is None else repr(value)
+
+
 def _parse_numbers(path, lineno: int, kinds: Mapping[str, type | None], cells) -> dict:
-    """The numeric cells of one stage-table row by column name.  ``kinds``
-    maps each column, in row order, to ``int``, ``float`` or ``None`` (a
-    float that may be undefined, written empty); nan and inf are rejected."""
+    """The numeric cells of one stage-table row by column name (the inverse
+    of ``_cell``).  ``kinds`` maps each column, in row order, to ``int``,
+    ``float`` or ``None`` (a float that may be undefined, written empty).
+    nan, inf and negative numbers are rejected: the writers emit only
+    counts, staff, sums of non-negative terms and ratios of these."""
     values = {}
     for (name, kind), cell in zip(kinds.items(), cells):
         if kind is None and cell == "":
@@ -517,6 +524,8 @@ def _parse_numbers(path, lineno: int, kinds: Mapping[str, type | None], cells) -
             value = math.nan
         if not math.isfinite(value):  # unparsable, nan or inf
             raise CorpusLoadError(path, lineno, f"column '{name}': not a number: {cell!r}")
+        if value < 0:
+            raise CorpusLoadError(path, lineno, f"column '{name}': negative number: {cell!r}")
         values[name] = value
     return values
 

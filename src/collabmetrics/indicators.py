@@ -11,12 +11,11 @@ absorbing spurious zeros.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, fields
 
 from .corpus import CollabProfile, Corpus, CorpusLoadError, IndicatorError, Publication
-from .corpus import SectorMap, _parse_numbers, _read_csv
+from .corpus import SectorMap, _cell, _parse_numbers, _read_csv, _write_csv
 
 
 @dataclass(frozen=True)
@@ -152,20 +151,12 @@ _VALUE_KINDS = dict.fromkeys(_VALUE_COLUMNS) | {
 }
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    return repr(value)
-
-
 def write_indicators_csv(records: list[IndicatorRecord], sectors: SectorMap, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(INDICATORS_HEADER)
-        for rec in records:
-            row = [rec.university, rec.sds, sectors.area_of(rec.sds)]
-            row.extend(_cell(getattr(rec, name)) for name in _VALUE_COLUMNS)
-            writer.writerow(row)
+    _write_csv(path, INDICATORS_HEADER, (
+        [rec.university, rec.sds, sectors.area_of(rec.sds)]
+        + [_cell(getattr(rec, name)) for name in _VALUE_COLUMNS]
+        for rec in records
+    ))
 
 
 def read_indicators_csv(path) -> tuple[list[IndicatorRecord], SectorMap]:

@@ -9,14 +9,13 @@ concentration indices two decimals).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from . import stats
 from .aggregate import AreaAggregate
-from .corpus import Corpus
+from .corpus import Corpus, _write_csv
 from .indicators import IndicatorRecord
 
 QUARTILE_LABELS = ("0-25", "26-50", "51-75", "76-100")  # worst -> best
@@ -447,13 +446,6 @@ def _fmt_stat(value) -> str:
     return "" if value is None else f"{value:.2f}"
 
 
-def _write_rows(path, header: list[str], rows: Iterable[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def emit_crosstab(table: CrossTab, path) -> None:
     header = ["quartile"]
     for col in COLLAB_COLUMNS:
@@ -472,12 +464,12 @@ def emit_crosstab(table: CrossTab, path) -> None:
         total_row += [table.col_totals[col], ""]
     total_row.append(table.grand_total)
     rows.append(total_row)
-    _write_rows(path, header, rows)
+    _write_csv(path, header, rows)
 
 
 def emit_area_profile(rows: list[AreaProfileRow], path) -> None:
     header = ["area", "output", "CI_pct", "CI_UNI_pct", "CI_DPR_pct", "FCI_pct", "DCI_pct"]
-    _write_rows(
+    _write_csv(
         path,
         header,
         [
@@ -491,7 +483,7 @@ def emit_area_profile(rows: list[AreaProfileRow], path) -> None:
 def emit_dispersion(rows: list[DispersionRow], path) -> None:
     header = ["area", "n_sds", "mean_pct", "median_pct", "min_pct", "max_pct",
               "std_pct", "cv"]
-    _write_rows(
+    _write_csv(
         path,
         header,
         [
@@ -505,7 +497,7 @@ def emit_dispersion(rows: list[DispersionRow], path) -> None:
 
 def emit_top_sectors(rows: list[TopSectorRow], metric: str, path) -> None:
     header = ["area", "sds", f"{metric.lower()}_pct", "output", "area_share_pct"]
-    _write_rows(
+    _write_csv(
         path,
         header,
         [
@@ -529,4 +521,4 @@ def emit_correlation(table: CorrelationTable, path) -> None:
                     area, indicator, cell.n, _fmt_stat(cell.r),
                     _fmt_stat(cell.beta), _fmt_stat(cell.r_squared), "",
                 ])
-    _write_rows(path, header, rows)
+    _write_csv(path, header, rows)

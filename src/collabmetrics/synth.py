@@ -151,6 +151,9 @@ def _check_params(params: SynthParams) -> None:
     for name, value in counts.items():
         if value < 1:
             raise SynthParamsError(f"{name} must be at least 1, got {value}")
+    for name in ("staff_range", "if_lognormal"):
+        if len(getattr(params, name)) != 2:
+            raise SynthParamsError(f"{name} must be a pair, got {getattr(params, name)!r}")
     lo, hi = params.staff_range
     if lo < 0 or hi < lo:
         raise SynthParamsError(f"invalid staff_range {params.staff_range}")

@@ -133,14 +133,27 @@ class TestSynthCommand:
         truth = json.loads((out / "ground_truth.json").read_text())
         assert truth["planted_correlations"][0]["r"] == 0.5
 
-    def test_invalid_params_exit_nonzero(self, runner, tmp_path):
+    @pytest.mark.parametrize("content,name", [
+        pytest.param(json.dumps({"staff_range": [9, 2]}).encode(), "staff_range",
+                     id="staff_range-reversed"),
+        pytest.param(b'{"staff_range": [1]}', "staff_range", id="staff_range-single"),
+        pytest.param(b'{"if_lognormal": [0]}', "if_lognormal", id="if_lognormal-single"),
+        pytest.param(b'{"area_propensity_overrides": []}', "area_propensity_overrides",
+                     id="area_propensity_overrides-list"),
+        pytest.param(b'{"staff_overrides": []}', "staff_overrides", id="staff_overrides-list"),
+        pytest.param(b'{"planted_associations": {}}', "planted_associations",
+                     id="planted_associations-object"),
+        pytest.param(b'{"seed": 1}\xff', "params.json", id="non-utf8"),
+    ])
+    def test_invalid_params_exit_nonzero(self, runner, tmp_path, content, name):
         params_file = tmp_path / "params.json"
-        params_file.write_text(json.dumps({"staff_range": [9, 2]}))
+        params_file.write_bytes(content)
         result = runner.invoke(
             cli, ["synth", "--params", str(params_file), "--out", str(tmp_path / "x")]
         )
         assert result.exit_code == 1
-        assert "staff_range" in result.output
+        assert name in result.output
+        assert_clean_failure(result)
 
 
 class TestPipeline:
@@ -269,6 +282,11 @@ class TestPipeline:
         pytest.param("correlate", "excluded", "aggregates.csv", b"maybe",
                      "column 'excluded': expected true or false, got 'maybe'",
                      id="correlate-excluded-maybe"),
+        pytest.param("aggregate", "staff", "indicators.csv", b"-40.0",
+                     "column 'staff': negative number: '-40.0'", id="aggregate-negative-staff"),
+        pytest.param("correlate", "n_sectors", "aggregates.csv", b"-1",
+                     "column 'n_sectors': negative number: '-1'",
+                     id="correlate-negative-n_sectors"),
     ])
     def test_malformed_stage_input_reports_location(
         self, runner, data_dir, tmp_path, command, column, table, cell, message
@@ -289,6 +307,43 @@ class TestPipeline:
         assert_clean_failure(result)
         assert f"{table}:3: {message}" in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        "indicators", "aggregate", "correlate", "report", "synth", "all",
+    ])
+    def test_out_under_a_file_fails_cleanly(self, runner, data_dir, tmp_path, command):
+        full = tmp_path / "full"
+        result = runner.invoke(cli, ["all"] + corpus_args(data_dir) + ["--out", str(full)])
+        assert result.exit_code == 0, result.output
+        inputs = {
+            "aggregate": ["--indicators", str(full / "indicators.csv")],
+            "correlate": ["--aggregates", str(full / "aggregates.csv")],
+            "synth": ["--seed", "1"],
+        }.get(command, corpus_args(data_dir))
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file\n")
+        out = blocker / "out"
+        result = runner.invoke(cli, [command] + inputs + ["--out", str(out)])
+        assert_clean_failure(result)
+        assert str(out) in result.output
+        assert blocker.read_text() == "a file\n"
+
+    def test_all_reports_exclusions_like_aggregate(self, runner, tmp_path):
+        data = tmp_path / "data"
+        params = SynthParams(seed=11, n_universities=3, n_areas=1, sds_per_area=1,
+                             staff_overrides={"U001": 3, "U002": 5, "U003": 40})
+        write_synthetic(generate_corpus(params), data)
+        full = tmp_path / "full"
+        result = runner.invoke(cli, ["all"] + corpus_args(data) + ["--out", str(full)])
+        assert result.exit_code == 0, result.output
+        staged = runner.invoke(cli, [
+            "aggregate", "--indicators", str(full / "indicators.csv"),
+            "--out", str(tmp_path / "staged"),
+        ])
+        assert staged.exit_code == 0, staged.output
+        line = "excluded U001/A01 (area staff 3 < 5)"
+        assert line in staged.stdout.splitlines()
+        assert line in result.stdout.splitlines()
 
     def test_failed_rerun_leaves_no_stale_manifest(self, runner, tmp_path):
         # a sector of this corpus has fewer than 4 publications
