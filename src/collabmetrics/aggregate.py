@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+from . import stats
 from .corpus import CorpusLoadError, SectorMap, _cell, _parse_numbers, _read_csv, _write_csv
 from .indicators import IndicatorRecord
 
@@ -115,20 +116,12 @@ def normalize_to_sds_mean(
     zero_mean: list[tuple[str, str]] = []
     for sds in sorted(by_sds):
         for target, source in sources.items():
-            defined = [
-                getattr(rec, source)
-                for rec in by_sds[sds]
-                if getattr(rec, source) is not None
-            ]
-            if not defined:
-                means[(sds, target)] = None
-                continue
-            mean = math.fsum(defined) / len(defined)
+            # unit weights: the plain mean of the defined values
+            mean = stats.weighted_mean((getattr(rec, source), 1) for rec in by_sds[sds])
             if mean == 0.0:
-                means[(sds, target)] = None
+                mean = None
                 zero_mean.append((sds, target))
-            else:
-                means[(sds, target)] = mean
+            means[(sds, target)] = mean
 
     cells = []
     for rec in records:
@@ -160,9 +153,9 @@ def aggregate_area(
 ) -> list[AreaAggregate]:
     """Staff-weighted mean of normalized cells per (university, area).
 
-    For each indicator the sum runs over cells where the value is
-    defined, with weights renormalized accordingly; when no positive
-    weight remains the aggregate is undefined.
+    For each indicator the mean runs over cells where the value is
+    defined (``stats.weighted_mean``); when no positive weight remains
+    the aggregate is undefined.
     """
     groups: dict[tuple[str, str], list[NormalizedCell]] = {}
     for cell in cells:
@@ -172,18 +165,12 @@ def aggregate_area(
     aggregates = []
     for (univ, area) in sorted(groups):
         group = groups[(univ, area)]
-        values: dict[str, float | None] = {}
-        for indicator in AREA_INDICATORS:
-            terms = [
-                (getattr(cell, indicator + "n"), cell.Add)
-                for cell in group
-                if getattr(cell, indicator + "n") is not None
-            ]
-            weight_total = math.fsum(w for _v, w in terms)
-            if weight_total > 0:
-                values[indicator] = math.fsum(v * w for v, w in terms) / weight_total
-            else:
-                values[indicator] = None
+        values = {
+            indicator: stats.weighted_mean(
+                (getattr(cell, indicator + "n"), cell.Add) for cell in group
+            )
+            for indicator in AREA_INDICATORS
+        }
         aggregates.append(
             AreaAggregate(
                 university=univ,

@@ -17,9 +17,11 @@ never stands beside the outputs of a failed run.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import json
 import sys
+import typing
 from pathlib import Path
 
 import click
@@ -34,15 +36,14 @@ AGGREGATES_FILENAME = "aggregates.csv"
 MANIFEST_FILENAME = "run_manifest.json"
 
 
-def _parse_period(raw: str) -> tuple[int, int]:
+def _corpus_config(kw: dict) -> CorpusConfig:
+    raw = kw["period"]
     parts = raw.split("-")
     try:
-        if len(parts) == 1:
-            year = int(parts[0])
-            return (year, year)
-        if len(parts) == 2 and int(parts[0]) <= int(parts[1]):
-            return (int(parts[0]), int(parts[1]))
-    except ValueError:
+        if len(parts) <= 2:
+            period = (int(parts[0]), int(parts[-1]))
+            return CorpusConfig(home_country=kw["home_country"], period=period)
+    except ValueError:  # not a year, or CorpusConfig's start > end
         pass
     raise click.BadParameter(f"expected YYYY or YYYY-YYYY (start <= end), got '{raw}'")
 
@@ -70,11 +71,6 @@ def _writing(out_dir: Path, command: str, config: dict, inputs: list[Path]):
     with open(out_dir / MANIFEST_FILENAME, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _fail(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(1)
 
 
 INPUT_FILE = click.Path(exists=True, dir_okay=False, path_type=Path)
@@ -138,8 +134,7 @@ def _config_echo(kw: dict, **extra) -> dict:
 
 
 def _load(kw: dict, *, check: bool = True) -> Corpus:
-    config = CorpusConfig(home_country=kw["home_country"], period=_parse_period(kw["period"]))
-    return load_corpus(*_corpus_inputs(kw), config, check=check)
+    return load_corpus(*_corpus_inputs(kw), _corpus_config(kw), check=check)
 
 
 class _Pipeline(click.Group):
@@ -151,7 +146,8 @@ class _Pipeline(click.Group):
             return super().invoke(ctx)
         except (CorpusError, ind.IndicatorError, agg.AggregateError, reports.ReportError,
                 ValueError, OSError) as exc:
-            _fail(str(exc))
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
 
 
 @click.group(cls=_Pipeline)
@@ -231,11 +227,7 @@ def correlate(aggregates_path: Path, out_dir: Path):
 @with_options(out_options)
 def synth_command(seed: int, params_path: Path | None, out_dir: Path):
     """Generate a seeded synthetic corpus with ground truth."""
-    try:
-        params = _load_synth_params(seed, params_path)
-        result = synth.generate_corpus(params)
-    except TypeError as exc:  # a params value of the wrong type
-        _fail(str(exc))
+    result = synth.generate_corpus(_load_synth_params(seed, params_path))
     config = {"seed": seed, "params": str(params_path) if params_path else None}
     with _writing(out_dir, "synth", config, [params_path] if params_path else []):
         synth.write_synthetic(result, out_dir)
@@ -310,27 +302,42 @@ def _load_synth_params(seed: int, params_path: Path | None) -> synth.SynthParams
         raise synth.SynthParamsError(f"{params_path}: {exc}") from None
     if not isinstance(raw, dict):
         raise synth.SynthParamsError("params file must hold a JSON object")
-    for key in ("area_propensity_overrides", "sds_propensity_overrides", "staff_overrides"):
-        if not isinstance(raw.get(key, {}), dict):
+    return _from_json({"seed": seed} | raw, synth.SynthParams, "")
+
+
+_JSON_SCALARS = {int: (int, "an integer"), float: ((int, float), "a number"),
+                 str: (str, "a string")}
+
+
+def _from_json(value, kind, key: str):
+    """``value``, read from JSON, as a ``kind``: a dataclass or ``dict[str, T]``
+    from an object, a tuple from a list, else an int, float or str.  A value
+    of the wrong type, or a missing or unknown field, fails naming its key."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if dataclasses.is_dataclass(kind) or origin is dict:
+        if not isinstance(value, dict):
             raise synth.SynthParamsError(f"{key} must be a JSON object")
-    if not isinstance(raw.get("planted_associations", []), list):
-        raise synth.SynthParamsError("planted_associations must be a JSON list")
-    if "collab_propensities" in raw:
-        raw["collab_propensities"] = synth.Propensities(**raw["collab_propensities"])
-    for key in ("area_propensity_overrides", "sds_propensity_overrides"):
-        if key in raw:
-            raw[key] = {
-                name: synth.Propensities(**props) for name, props in raw[key].items()
-            }
-    if "planted_associations" in raw:
-        raw["planted_associations"] = tuple(
-            synth.PlantedAssociation(**assoc) for assoc in raw["planted_associations"]
-        )
-    for key in ("staff_range", "if_lognormal"):
-        if key in raw:
-            raw[key] = tuple(raw[key])
-    raw.setdefault("seed", seed)
-    return synth.SynthParams(**raw)
+        if origin is dict:
+            return {k: _from_json(v, args[1], f"{key}[{k}]") for k, v in value.items()}
+        hints = typing.get_type_hints(kind)
+        required = {f.name for f in dataclasses.fields(kind)
+                    if f.default is dataclasses.MISSING
+                    and f.default_factory is dataclasses.MISSING}
+        field_key = (lambda name: f"{key}.{name}") if key else str
+        for problem, names in (("unknown", value.keys() - hints.keys()),
+                               ("missing", required - value.keys())):
+            if names:
+                raise synth.SynthParamsError(f"{problem} key '{field_key(min(names))}'")
+        return kind(**{name: _from_json(v, hints[name], field_key(name))
+                       for name, v in value.items()})
+    if origin is tuple:
+        if not isinstance(value, list):
+            raise synth.SynthParamsError(f"{key} must be a JSON list")
+        return tuple(_from_json(v, args[0], f"{key}[{i}]") for i, v in enumerate(value))
+    accepted, what = _JSON_SCALARS[kind]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise synth.SynthParamsError(f"{key} must be {what}, got {value!r}")
+    return value
 
 
 if __name__ == "__main__":

@@ -5,7 +5,6 @@ with file/line context, after the file-shape checks only a raw row needs)
 and by ``validate_corpus``, which also checks references across files; a
 loader does not, so that broken corpora can still be inspected.  The stage
 tables (indicators.csv, aggregates.csv) are read by the same strict reader.
-A loaded ``Corpus`` is immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -137,8 +136,7 @@ class Corpus:
     class of each publication) and ``normalized_ifs`` (sector-normalized
     impact factors).  Both depend only on fields that never change, so
     a cached value cannot go stale (``dataclasses.replace`` gives a
-    fresh cache); concurrent first accesses store equal values, so a
-    corpus stays safe to share across threads.
+    fresh cache).
     """
 
     publications: tuple[Publication, ...]
@@ -148,9 +146,6 @@ class Corpus:
     sectors: SectorMap
     home_country: str
     period: tuple[int, int]
-
-    def years(self) -> range:
-        return range(self.period[0], self.period[1] + 1)
 
     @cached_property
     def profiles(self) -> tuple[CollabProfile, ...]:

@@ -12,7 +12,7 @@ absorbing spurious zeros.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .corpus import CollabProfile, Corpus, CorpusLoadError, IndicatorError, Publication
 from .corpus import SectorMap, _cell, _parse_numbers, _read_csv, _write_csv
@@ -42,15 +42,12 @@ class IndicatorRecord:
     DCI: float | None
 
 
-INDICATOR_FIELDS = tuple(
-    f.name for f in fields(IndicatorRecord) if f.name not in ("university", "sds")
-)
-
-
 def fractional_contribution(pub: Publication) -> float:
-    """Reciprocal of the publication's distinct organization count."""
-    if not pub.org_ids:
-        raise IndicatorError(f"publication '{pub.pub_id}' has no organizations")
+    """Reciprocal of the publication's distinct organization count.
+
+    The organization set is non-empty: ``load_publications`` rejects an
+    empty one for every file it loads, checked or not.
+    """
     return 1.0 / len(pub.org_ids)
 
 

@@ -23,16 +23,9 @@ COLLAB_COLUMNS = ("intramural", "extramural", "foreign", "enterprise")
 PERFORMANCE_INDICATORS = ("P", "FP", "QP", "FQP", "QI")
 COLLAB_METRICS = ("CI", "FCI", "DCI")
 
-# Table-level metric names, with the legacy print-name alias
-_METRIC_ALIASES = {"CI_IPR": "CI_DPR"}
-
 
 class ReportError(Exception):
     pass
-
-
-def resolve_metric(name: str) -> str:
-    return _METRIC_ALIASES.get(name, name)
 
 
 # ---------------------------------------------------------------------------
@@ -265,18 +258,10 @@ def _area_profile_weighted(
         by_area[corpus.sectors.area_of(rec.sds)].append(rec)
     rows = []
     for area, area_records in by_area.items():
-        values: dict[str, float | None] = {}
-        for name, attr in metrics.items():
-            pairs = [
-                (getattr(rec, attr), rec.staff)
-                for rec in area_records
-                if getattr(rec, attr) is not None
-            ]
-            weight_total = math.fsum(w for _v, w in pairs)
-            if weight_total > 0:
-                values[name] = math.fsum(v * w for v, w in pairs) / weight_total
-            else:
-                values[name] = None
+        values = {
+            name: stats.weighted_mean((getattr(rec, attr), rec.staff) for rec in area_records)
+            for name, attr in metrics.items()
+        }
         rows.append(AreaProfileRow(area=area, output=output_by_area[area], **values))
     return rows
 
@@ -288,19 +273,18 @@ def _area_profile_weighted(
 def _pooled_sds_metric(
     records: Iterable[IndicatorRecord], metric: str
 ) -> dict[str, tuple[float, int]]:
-    """Output-weighted pooled (value, output) of a share metric per sector."""
-    attr = resolve_metric(metric)
-    terms: dict[str, list[tuple[float, int]]] = {}
+    """Output-weighted pooled (value, output) of a share metric per sector.
+
+    The output is the integer count behind the defined values.
+    """
+    terms: dict[str, list[tuple[float | None, int]]] = {}
     for rec in records:
-        value = getattr(rec, attr)
-        if value is None:
-            continue
-        terms.setdefault(rec.sds, []).append((value, rec.O))
+        terms.setdefault(rec.sds, []).append((getattr(rec, metric), rec.O))
     pooled = {}
     for sds, pairs in terms.items():
-        output = sum(o for _v, o in pairs)
-        if output > 0:
-            pooled[sds] = (math.fsum(v * o for v, o in pairs) / output, output)
+        value = stats.weighted_mean(pairs)
+        if value is not None:
+            pooled[sds] = (value, sum(o for v, o in pairs if v is not None))
     return pooled
 
 

@@ -1,4 +1,4 @@
-"""Statistics kernel shared by the report builders.
+"""Statistics kernel shared by the area aggregation and the report builders.
 
 Plain-Python implementations with explicit undefined-value semantics:
 missing observations are ``None`` (or NaN) and are dropped pairwise;
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -74,34 +74,6 @@ def _moments(pairs: list[tuple[float, float]]) -> tuple[float, float, float]:
     return sxx, syy, sxy
 
 
-def pearson(x: Sequence, y: Sequence) -> float | None:
-    """Sample Pearson correlation coefficient.
-
-    Returns ``None`` when fewer than 3 pairwise-complete observations
-    remain or when either side has zero variance.
-    """
-    result = associate(x, y)
-    return None if result is None else result.r
-
-
-def ols_simple(x: Sequence, y: Sequence) -> tuple[float, float] | None:
-    """Slope and determination coefficient of the regression of y on x.
-
-    The slope is Sxy/Sxx; R-squared is the explained-variance fraction
-    beta*Sxy/Syy (0 when y is constant).  Returns ``None`` when fewer
-    than 3 complete pairs remain or x has zero variance.
-    """
-    pairs = clean_pairs(x, y)
-    if len(pairs) < 3:
-        return None
-    sxx, syy, sxy = _moments(pairs)
-    if sxx == 0.0:
-        return None
-    beta = sxy / sxx
-    r_squared = (beta * sxy) / syy if syy > 0.0 else 0.0
-    return beta, r_squared
-
-
 def associate(x: Sequence, y: Sequence) -> AssociationStats | None:
     """Correlation plus simple regression of y on x.
 
@@ -118,6 +90,20 @@ def associate(x: Sequence, y: Sequence) -> AssociationStats | None:
     beta = sxy / sxx
     r_squared = (beta * sxy) / syy
     return AssociationStats(r=r, beta=beta, r_squared=r_squared, n=len(pairs))
+
+
+def weighted_mean(terms: Iterable[tuple[float | None, float]]) -> float | None:
+    """Mean of the defined values of ``(value, weight)`` pairs.
+
+    ``None`` values are skipped and the weights renormalized over the
+    rest; the result is ``None`` when no positive weight remains.  Sums
+    are exact (``fsum``), so the order of the terms cannot change it.
+    """
+    defined = [(v, w) for v, w in terms if v is not None]
+    weight_total = math.fsum(w for _v, w in defined)
+    if weight_total > 0:
+        return math.fsum(v * w for v, w in defined) / weight_total
+    return None
 
 
 def concentration_index(

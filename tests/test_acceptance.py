@@ -109,9 +109,8 @@ def test_criterion_4_statistics_identities():
         for _ in range(1000):
             x = rng.normal(size=30)
             y = rng.normal(size=30) + rng.uniform(-2, 2) * x
-            r = stats.pearson(x.tolist(), y.tolist())
-            _beta, r_squared = stats.ols_simple(x.tolist(), y.tolist())
-            assert abs(r_squared - r * r) < 1e-10
+            result = stats.associate(x.tolist(), y.tolist())
+            assert abs(result.r_squared - result.r * result.r) < 1e-10
 
         table_rng = random.Random(314)
         for _ in range(1000):

@@ -144,6 +144,14 @@ class TestSynthCommand:
         pytest.param(b'{"planted_associations": {}}', "planted_associations",
                      id="planted_associations-object"),
         pytest.param(b'{"seed": 1}\xff', "params.json", id="non-utf8"),
+        pytest.param(b'{"n_universities": "x"}', "n_universities", id="n_universities-string"),
+        pytest.param(b'{"staff_range": 5}', "staff_range", id="staff_range-int"),
+        pytest.param(b'{"seed": "x"}', "seed", id="seed-string"),
+        pytest.param(b'{"collab_propensities": {"foreign": "x"}}',
+                     "collab_propensities.foreign", id="collab_propensities-string"),
+        pytest.param(json.dumps({"planted_associations": [
+            {"area": "A01", "x_metric": "CI_share", "y_indicator": "P", "r": "0.5"}
+        ]}).encode(), "planted_associations[0].r", id="planted_associations-r-string"),
     ])
     def test_invalid_params_exit_nonzero(self, runner, tmp_path, content, name):
         params_file = tmp_path / "params.json"

@@ -30,7 +30,6 @@ from collabmetrics.reports import (
     build_top_sector_table,
     emit_area_profile,
     emit_crosstab,
-    resolve_metric,
 )
 from collabmetrics.synth import (
     PlantedAssociation,
@@ -246,14 +245,6 @@ class TestDispersion:
         assert d.std == pytest.approx(std, abs=1e-9)
         assert d.cv == pytest.approx(0.056, abs=0.002)
 
-    def test_metric_alias_accepted(self):
-        assert resolve_metric("CI_IPR") == "CI_DPR"
-        corpus = profile_corpus()
-        records = compute_indicators(corpus)
-        via_alias, _ = build_dispersion_table(records, corpus.sectors, metric="CI_IPR")
-        direct, _ = build_dispersion_table(records, corpus.sectors, metric="CI_DPR")
-        assert via_alias == direct
-
 
 class TestTopSectors:
     def test_single_sector_selected(self):
@@ -341,6 +332,14 @@ class TestCorrelationTable:
         table = build_correlation_table(aggs, "CI")
         assert ("P", "A1") not in table.cells
         assert "insufficient data (n=2)" in table.notes[("P", "A1")]
+
+    def test_constant_indicator_undefined(self):
+        # every university has the same P: no slope, no correlation
+        aggs = [make_aggregate(f"U{i}", ci=0.1 * i, p=1.5) for i in range(6)]
+        table = build_correlation_table(aggs, "CI")
+        assert ("P", "A1") not in table.cells
+        assert table.notes[("P", "A1")] == "zero variance"
+        assert stats.associate([a.CI for a in aggs], [a.P for a in aggs]) is None
 
     def test_r_squared_identity_holds_per_cell(self):
         corpus = generate_corpus(SynthParams(seed=3, n_universities=12)).corpus

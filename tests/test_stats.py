@@ -11,30 +11,30 @@ from collabmetrics import stats
 
 class TestPearson:
     def test_exact_linearity(self):
-        assert stats.pearson([1, 2, 3], [2, 4, 6]) == pytest.approx(1.0)
+        assert stats.associate([1, 2, 3], [2, 4, 6]).r == pytest.approx(1.0)
 
     def test_exact_antilinearity(self):
-        assert stats.pearson([1, 2, 3], [3, 2, 1]) == pytest.approx(-1.0)
+        assert stats.associate([1, 2, 3], [3, 2, 1]).r == pytest.approx(-1.0)
 
     def test_hand_computed_value(self):
         # Sxy=3, Sxx=2, Syy=14/3 -> r = sqrt(27/28)
-        r = stats.pearson([0, 1, 2], [0, 1, 3])
+        r = stats.associate([0, 1, 2], [0, 1, 3]).r
         assert r == pytest.approx(math.sqrt(27 / 28), abs=1e-12)
 
     def test_too_few_points(self):
-        assert stats.pearson([1, 2], [3, 4]) is None
+        assert stats.associate([1, 2], [3, 4]) is None
 
     def test_zero_variance(self):
-        assert stats.pearson([1, 1, 1], [1, 2, 3]) is None
-        assert stats.pearson([1, 2, 3], [5, 5, 5]) is None
+        assert stats.associate([1, 1, 1], [1, 2, 3]) is None
+        assert stats.associate([1, 2, 3], [5, 5, 5]) is None
 
     def test_missing_values_dropped_pairwise(self):
-        r = stats.pearson([1, None, 2, 3, float("nan")], [2, 9, 4, 6, 1])
+        r = stats.associate([1, None, 2, 3, float("nan")], [2, 9, 4, 6, 1]).r
         assert r == pytest.approx(1.0)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            stats.pearson([1, 2], [1, 2, 3])
+            stats.associate([1, 2], [1, 2, 3])
 
     def test_matches_numpy_on_random_data(self):
         rng = np.random.default_rng(1234)
@@ -42,7 +42,7 @@ class TestPearson:
             x = rng.normal(size=30)
             y = rng.normal(size=30) + 0.5 * x
             expected = np.corrcoef(x, y)[0, 1]
-            assert stats.pearson(x.tolist(), y.tolist()) == pytest.approx(
+            assert stats.associate(x.tolist(), y.tolist()).r == pytest.approx(
                 expected, abs=1e-12
             )
 
@@ -59,12 +59,12 @@ class TestPearson:
     def test_symmetry(self, pairs):
         xs = [p[0] for p in pairs]
         ys = [p[1] for p in pairs]
-        r_xy = stats.pearson(xs, ys)
-        r_yx = stats.pearson(ys, xs)
-        if r_xy is None:
-            assert r_yx is None
+        xy = stats.associate(xs, ys)
+        yx = stats.associate(ys, xs)
+        if xy is None:
+            assert yx is None
         else:
-            assert r_xy == pytest.approx(r_yx, abs=1e-9)
+            assert xy.r == pytest.approx(yx.r, abs=1e-9)
 
     @given(
         st.lists(
@@ -79,48 +79,42 @@ class TestPearson:
         # power-of-two scale and small integer offset keep the map exact
         xs = [float(p[0]) for p in pairs]
         ys = [float(p[1]) for p in pairs]
-        r = stats.pearson(xs, ys)
-        r_affine = stats.pearson([a * x + b for x in xs], ys)
-        if r is None:
-            assert r_affine is None
+        base = stats.associate(xs, ys)
+        affine = stats.associate([a * x + b for x in xs], ys)
+        if base is None:
+            assert affine is None
         else:
-            assert r_affine == pytest.approx(math.copysign(1.0, a) * r, abs=1e-9)
+            assert affine.r == pytest.approx(math.copysign(1.0, a) * base.r, abs=1e-9)
 
 
 class TestOls:
     def test_exact_fit(self):
-        beta, r2 = stats.ols_simple([0, 1, 2, 3], [1, 3, 5, 7])
-        assert beta == pytest.approx(2.0)
-        assert r2 == pytest.approx(1.0)
-
-    def test_constant_y(self):
-        beta, r2 = stats.ols_simple([0, 1, 2, 3], [4, 4, 4, 4])
-        assert beta == 0.0
-        assert r2 == 0.0
+        result = stats.associate([0, 1, 2, 3], [1, 3, 5, 7])
+        assert result.beta == pytest.approx(2.0)
+        assert result.r_squared == pytest.approx(1.0)
 
     def test_hand_computed_value(self):
-        beta, r2 = stats.ols_simple([0, 1, 2], [0, 1, 3])
-        assert beta == pytest.approx(1.5, abs=1e-12)
-        assert r2 == pytest.approx(27 / 28, abs=1e-12)
+        result = stats.associate([0, 1, 2], [0, 1, 3])
+        assert result.beta == pytest.approx(1.5, abs=1e-12)
+        assert result.r_squared == pytest.approx(27 / 28, abs=1e-12)
 
     def test_zero_variance_x(self):
-        assert stats.ols_simple([2, 2, 2], [1, 2, 3]) is None
+        assert stats.associate([2, 2, 2], [1, 2, 3]) is None
 
     def test_r_squared_equals_pearson_squared(self):
         rng = np.random.default_rng(99)
         for _ in range(200):
             x = rng.normal(size=30)
             y = rng.normal(size=30) + rng.uniform(-2, 2) * x
-            r = stats.pearson(x.tolist(), y.tolist())
-            _beta, r2 = stats.ols_simple(x.tolist(), y.tolist())
-            assert abs(r2 - r * r) < 1e-10
+            result = stats.associate(x.tolist(), y.tolist())
+            assert abs(result.r_squared - result.r * result.r) < 1e-10
 
     def test_beta_matches_numpy_polyfit(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             x = rng.normal(size=25)
             y = 1.3 * x + rng.normal(size=25)
-            beta, _ = stats.ols_simple(x.tolist(), y.tolist())
+            beta = stats.associate(x.tolist(), y.tolist()).beta
             expected = np.polyfit(x, y, 1)[0]
             assert beta == pytest.approx(expected, abs=1e-9)
 
@@ -132,6 +126,40 @@ class TestOls:
             result = stats.associate(x.tolist(), y.tolist())
             if result is not None and result.r != 0:
                 assert math.copysign(1, result.beta) == math.copysign(1, result.r)
+
+
+class TestWeightedMean:
+    def test_undefined_values_skipped_and_weights_renormalized(self):
+        terms = [(1.0, 1.0), (None, 5.0), (4.0, 3.0)]
+        assert stats.weighted_mean(terms) == 13.0 / 4.0
+
+    def test_nothing_defined_is_undefined(self):
+        assert stats.weighted_mean([]) is None
+        assert stats.weighted_mean([(None, 2.0), (None, 1.0)]) is None
+        assert stats.weighted_mean([(1.0, 0.0), (3.0, 0.0)]) is None
+
+    def test_integer_weights_match_float_weights(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            values = [rng.uniform(-5, 5) for _ in range(rng.randint(1, 20))]
+            weights = [rng.randint(0, 50) for _ in values]
+            assert stats.weighted_mean(zip(values, weights)) == \
+                stats.weighted_mean(zip(values, map(float, weights)))
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.none(), st.floats(-1e6, 1e6)),
+                st.floats(0, 1e3),
+            ),
+            max_size=30,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_exact_under_reordering(self, terms, rnd):
+        shuffled = list(terms)
+        rnd.shuffle(shuffled)
+        assert stats.weighted_mean(shuffled) == stats.weighted_mean(terms)
 
 
 class TestConcentrationIndex:
