@@ -26,7 +26,6 @@ from .indicators import (
     compute_indicators,
     fractional_contribution,
 )
-from .synth import PlantedAssociation, Propensities, SynthParams, generate_corpus
 
 __version__ = "0.1.0"
 
@@ -42,15 +41,11 @@ __all__ = [
     "IndicatorRecord",
     "NormalizedCell",
     "OrgClass",
-    "PlantedAssociation",
-    "Propensities",
-    "SynthParams",
     "aggregate_area",
     "classify_collaboration",
     "compute_indicators",
     "filter_small_universities",
     "fractional_contribution",
-    "generate_corpus",
     "load_corpus",
     "normalize_to_sds_mean",
     "validate_corpus",

@@ -17,18 +17,17 @@ never stands beside the outputs of a failed run.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
+import gc
 import hashlib
 import json
 import sys
-import typing
 from pathlib import Path
 
 import click
 
 from . import aggregate as agg
 from . import indicators as ind
-from . import reports, synth
+from . import reports
 from .corpus import Corpus, CorpusConfig, CorpusError, load_corpus, validate_corpus
 
 INDICATORS_FILENAME = "indicators.csv"
@@ -139,15 +138,25 @@ def _load(kw: dict, *, check: bool = True) -> Corpus:
 
 class _Pipeline(click.Group):
     """The command group: each library error ends a command in one ``error:`` line
-    (SynthParamsError is a ValueError; OSError covers an unusable output path)."""
+    (SynthParamsError is a ValueError; OSError covers an unusable output path).
+
+    A command runs with the cyclic garbage collector paused: the corpus and
+    everything derived from it hold no reference cycles, so a collection
+    frees next to nothing and only rescans the growing heap.  Reference
+    counting still frees everything else."""
 
     def invoke(self, ctx: click.Context):
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
         try:
             return super().invoke(ctx)
         except (CorpusError, ind.IndicatorError, agg.AggregateError, reports.ReportError,
                 ValueError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
 
 
 @click.group(cls=_Pipeline)
@@ -227,7 +236,9 @@ def correlate(aggregates_path: Path, out_dir: Path):
 @with_options(out_options)
 def synth_command(seed: int, params_path: Path | None, out_dir: Path):
     """Generate a seeded synthetic corpus with ground truth."""
-    result = synth.generate_corpus(_load_synth_params(seed, params_path))
+    from . import synth  # the one command that needs numpy imports it
+
+    result = synth.generate_corpus(synth.load_params(seed, params_path))
     config = {"seed": seed, "params": str(params_path) if params_path else None}
     with _writing(out_dir, "synth", config, [params_path] if params_path else []):
         synth.write_synthetic(result, out_dir)
@@ -291,53 +302,6 @@ def _write_correlations(kept, out_dir: Path) -> None:
     for metric in reports.COLLAB_METRICS:
         table = reports.build_correlation_table(kept, collab_metric=metric)
         reports.emit_correlation(table, out_dir / f"correlation_{metric.lower()}.csv")
-
-
-def _load_synth_params(seed: int, params_path: Path | None) -> synth.SynthParams:
-    if params_path is None:
-        return synth.SynthParams(seed=seed)
-    try:
-        raw = json.loads(params_path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise synth.SynthParamsError(f"{params_path}: {exc}") from None
-    if not isinstance(raw, dict):
-        raise synth.SynthParamsError("params file must hold a JSON object")
-    return _from_json({"seed": seed} | raw, synth.SynthParams, "")
-
-
-_JSON_SCALARS = {int: (int, "an integer"), float: ((int, float), "a number"),
-                 str: (str, "a string")}
-
-
-def _from_json(value, kind, key: str):
-    """``value``, read from JSON, as a ``kind``: a dataclass or ``dict[str, T]``
-    from an object, a tuple from a list, else an int, float or str.  A value
-    of the wrong type, or a missing or unknown field, fails naming its key."""
-    origin, args = typing.get_origin(kind), typing.get_args(kind)
-    if dataclasses.is_dataclass(kind) or origin is dict:
-        if not isinstance(value, dict):
-            raise synth.SynthParamsError(f"{key} must be a JSON object")
-        if origin is dict:
-            return {k: _from_json(v, args[1], f"{key}[{k}]") for k, v in value.items()}
-        hints = typing.get_type_hints(kind)
-        required = {f.name for f in dataclasses.fields(kind)
-                    if f.default is dataclasses.MISSING
-                    and f.default_factory is dataclasses.MISSING}
-        field_key = (lambda name: f"{key}.{name}") if key else str
-        for problem, names in (("unknown", value.keys() - hints.keys()),
-                               ("missing", required - value.keys())):
-            if names:
-                raise synth.SynthParamsError(f"{problem} key '{field_key(min(names))}'")
-        return kind(**{name: _from_json(v, hints[name], field_key(name))
-                       for name, v in value.items()})
-    if origin is tuple:
-        if not isinstance(value, list):
-            raise synth.SynthParamsError(f"{key} must be a JSON list")
-        return tuple(_from_json(v, args[0], f"{key}[{i}]") for i, v in enumerate(value))
-    accepted, what = _JSON_SCALARS[kind]
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        raise synth.SynthParamsError(f"{key} must be {what}, got {value!r}")
-    return value
 
 
 if __name__ == "__main__":

@@ -73,7 +73,7 @@ class Journal:
     impact_factor_by_year: Mapping[int, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Attribution:
     """One (university, sector) credit line of a publication."""
 
@@ -81,7 +81,7 @@ class Attribution:
     sds: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Publication:
     pub_id: str
     year: int
@@ -205,7 +205,7 @@ class CorpusConfig:
             raise ValueError(f"empty period {self.period}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CollabProfile:
     """Collaboration classification of one publication.
 
@@ -600,8 +600,10 @@ def load_sectors(path) -> SectorMap:
 
 
 def load_publications(path, period: tuple[int, int]) -> tuple[Publication, ...]:
+    """The publications of ``path``; equal attributions are one shared object."""
     pubs: list[Publication] = []
     seen_ids: set[str] = set()
+    shared: dict[tuple[str, str], Attribution] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(_utf8_lines(path, fh), start=1):
             line = line.strip()
@@ -651,7 +653,10 @@ def load_publications(path, period: tuple[int, int]) -> tuple[Publication, ...]:
                         "each attribution needs string fields 'university' and 'sds'",
                         "attributions",
                     )
-                attributions.append(Attribution(raw["university"], raw["sds"]))
+                key = (raw["university"], raw["sds"])
+                if key not in shared:
+                    shared[key] = Attribution(*key)
+                attributions.append(shared[key])
 
             pub = Publication(
                 pub_id=pub_id,

@@ -20,7 +20,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, asdict
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -200,6 +201,56 @@ def _check_params(params: SynthParams) -> None:
     planted_areas = [a.area for a in params.planted_associations]
     if len(planted_areas) != len(set(planted_areas)):
         raise SynthParamsError("at most one planted association per area")
+
+
+def load_params(seed: int, params_path: Path | None) -> SynthParams:
+    """The parameters of ``synth --seed --params``: defaults, overridden by
+    the JSON object in ``params_path`` if given."""
+    if params_path is None:
+        return SynthParams(seed=seed)
+    try:
+        raw = json.loads(params_path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise SynthParamsError(f"{params_path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise SynthParamsError("params file must hold a JSON object")
+    return _from_json({"seed": seed} | raw, SynthParams, "")
+
+
+_JSON_SCALARS = {int: (int, "an integer"), float: ((int, float), "a finite number"),
+                 str: (str, "a string")}
+
+
+def _from_json(value, kind, key: str):
+    """``value``, read from JSON, as a ``kind``: a dataclass or ``dict[str, T]``
+    from an object, a tuple from a list, else an int, float or str.  A value
+    of the wrong type, a non-finite number, or a missing or unknown field
+    fails naming its key."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if is_dataclass(kind) or origin is dict:
+        if not isinstance(value, dict):
+            raise SynthParamsError(f"{key} must be a JSON object")
+        if origin is dict:
+            return {k: _from_json(v, args[1], f"{key}[{k}]") for k, v in value.items()}
+        hints = typing.get_type_hints(kind)
+        required = {f.name for f in fields(kind)
+                    if f.default is MISSING and f.default_factory is MISSING}
+        field_key = (lambda name: f"{key}.{name}") if key else str
+        for problem, names in (("unknown", value.keys() - hints.keys()),
+                               ("missing", required - value.keys())):
+            if names:
+                raise SynthParamsError(f"{problem} key '{field_key(min(names))}'")
+        return kind(**{name: _from_json(v, hints[name], field_key(name))
+                       for name, v in value.items()})
+    if origin is tuple:
+        if not isinstance(value, list):
+            raise SynthParamsError(f"{key} must be a JSON list")
+        return tuple(_from_json(v, args[0], f"{key}[{i}]") for i, v in enumerate(value))
+    accepted, what = _JSON_SCALARS[kind]
+    if (isinstance(value, bool) or not isinstance(value, accepted)
+            or kind is float and not math.isfinite(value)):  # JSON allows NaN, Infinity
+        raise SynthParamsError(f"{key} must be {what}, got {value!r}")
+    return value
 
 
 def _planted_drivers(

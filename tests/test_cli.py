@@ -1,5 +1,9 @@
+import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -152,6 +156,10 @@ class TestSynthCommand:
         pytest.param(json.dumps({"planted_associations": [
             {"area": "A01", "x_metric": "CI_share", "y_indicator": "P", "r": "0.5"}
         ]}).encode(), "planted_associations[0].r", id="planted_associations-r-string"),
+        pytest.param(b'{"if_lognormal": [0, Infinity]}', "if_lognormal[1]",
+                     id="if_lognormal-infinite"),
+        pytest.param(b'{"pubs_per_staff_mean": NaN}', "pubs_per_staff_mean",
+                     id="pubs_per_staff_mean-nan"),
     ])
     def test_invalid_params_exit_nonzero(self, runner, tmp_path, content, name):
         params_file = tmp_path / "params.json"
@@ -371,6 +379,37 @@ class TestPipeline:
         assert "per-sector quartiles need at least 4" in result.output
         assert not (out / "run_manifest.json").exists()
 
+    @pytest.mark.parametrize("case", ["success", "error-exit", "caller-disabled"])
+    def test_gc_paused_for_the_command(self, runner, tmp_path, monkeypatch, case):
+        from collabmetrics import indicators
+
+        # a sector of this corpus has fewer than 4 publications
+        data = tmp_path / "data"
+        write_synthetic(
+            generate_corpus(SynthParams(seed=42, n_universities=2, staff_range=(2, 5))), data
+        )
+        compute = indicators.compute_indicators
+        seen = []
+        monkeypatch.setattr(indicators, "compute_indicators",
+                            lambda corpus: seen.append(gc.isenabled()) or compute(corpus))
+        flags = ["--quartile-scope", "per-sector"] if case == "error-exit" else []
+        assert gc.isenabled()
+        if case == "caller-disabled":
+            gc.disable()
+        try:
+            result = runner.invoke(
+                cli, ["all"] + corpus_args(data) + ["--out", str(tmp_path / "out")] + flags
+            )
+            enabled_after = gc.isenabled()
+        finally:
+            gc.enable()
+        if case == "error-exit":
+            assert_clean_failure(result)
+        else:
+            assert result.exit_code == 0, result.output
+        assert seen == [False]
+        assert enabled_after == (case != "caller-disabled")
+
     @pytest.mark.parametrize("argv", [
         ["all"], ["report", "--table2-mode", "weighted"],
         ["report", "--quartile-scope", "per-sector", "--table2-mode", "weighted"],
@@ -401,3 +440,18 @@ class TestPipeline:
         )
         assert result.exit_code == 0, result.output
         assert calls == {"classify": len(pubs), "compute": 1, "impact": credited}
+
+
+def test_cli_import_leaves_numpy_out():
+    """Only ``synth`` needs numpy; importing the CLI must not load it."""
+    import collabmetrics
+
+    src = str(Path(collabmetrics.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, collabmetrics.cli; print('numpy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else "")),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

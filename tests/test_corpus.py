@@ -191,6 +191,26 @@ class TestLoad:
         paths = write_minimal_files(tmp_path)
         assert load_from(paths) == load_from(paths)
 
+    def test_lean_records(self, tmp_path):
+        def line(pub_id, *pairs):
+            return {"id": pub_id, "year": 2001, "journal": "J1", "orgs": ["UA", "UB"],
+                    "attributions": [{"university": u, "sds": s} for u, s in pairs]}
+
+        paths = write_minimal_files(tmp_path, pub_lines=[
+            line("p1", ("UA", "S1")), line("p2", ("UB", "S1"), ("UA", "S1")),
+            line("p3", ("UB", "S1")),
+        ])
+        corpus = load_from(paths, check=False)
+        p1, p2, p3 = corpus.publications
+        assert p1.attributions[0] is p2.attributions[1]
+        assert p2.attributions[0] is p3.attributions[0]
+        assert p1.attributions[0] is not p3.attributions[0]
+
+        for record in (p1, p1.attributions[0], corpus.profiles[0]):
+            assert not hasattr(record, "__dict__"), type(record).__name__
+        moved = dataclasses.replace(p1, attributions=p3.attributions)
+        assert moved.pub_id == "p1" and moved.attributions == (Attribution("UB", "S1"),)
+
 
 class TestRoundTrip:
     def test_generator_output_loads_and_round_trips(self, tmp_path):
