@@ -4,7 +4,11 @@ The generator builds a full corpus (universities, partner pools,
 journals, staff rosters, publications) from a parameter set and a
 64-bit seed.  Raw random draws are keyed by (seed, entity id) through
 independent PCG64 streams, so enlarging the system leaves existing
-entities' draws untouched.
+entities' draws untouched.  Each key's stream is built once: the
+productivity and collaboration multipliers are drawn once per
+(university, area) and shared by the area's sectors, and each cell
+(university, sector) draws its years, journals, partner flags and
+partner picks from its own stream.
 
 Collaboration is planted by per-cell quotas: a cell with n
 publications and propensity q gets exactly round(q*n) flagged ones,
@@ -138,6 +142,14 @@ def _rng(seed: int, *parts) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
+def _layout(params: SynthParams) -> tuple[list[str], list[str], dict[str, str]]:
+    """The generated university ids, area ids and ``{sds: area}`` sector map."""
+    areas = [f"A{i:02d}" for i in range(1, params.n_areas + 1)]
+    sectors = {f"{area}S{j:02d}": area for area in areas
+               for j in range(1, params.sds_per_area + 1)}
+    return [f"U{i:03d}" for i in range(1, params.n_universities + 1)], areas, sectors
+
+
 def _check_params(params: SynthParams) -> None:
     counts = {
         "n_universities": params.n_universities,
@@ -155,12 +167,20 @@ def _check_params(params: SynthParams) -> None:
     for name in ("staff_range", "if_lognormal"):
         if len(getattr(params, name)) != 2:
             raise SynthParamsError(f"{name} must be a pair, got {getattr(params, name)!r}")
+    scales = ("pubs_per_staff_mean", "productivity_spread", "collab_variation",
+              "sector_if_spread")
+    floats = {name: getattr(params, name) for name in scales}
+    floats |= {f"if_lognormal[{i}]": value for i, value in enumerate(params.if_lognormal)}
+    floats |= {f"planted_associations[{i}].{name}": getattr(assoc, name)
+               for i, assoc in enumerate(params.planted_associations)
+               for name in ("r", "noise")}
+    for name, value in floats.items():
+        if not math.isfinite(value):
+            raise SynthParamsError(f"{name} must be a finite number, got {value}")
     lo, hi = params.staff_range
     if lo < 0 or hi < lo:
         raise SynthParamsError(f"invalid staff_range {params.staff_range}")
-    if params.pubs_per_staff_mean < 0:
-        raise SynthParamsError("pubs_per_staff_mean must be non-negative")
-    for name in ("productivity_spread", "collab_variation", "sector_if_spread"):
+    for name in scales:
         if getattr(params, name) < 0:
             raise SynthParamsError(f"{name} must be non-negative")
     if params.if_lognormal[1] < 0:
@@ -194,7 +214,13 @@ def _check_params(params: SynthParams) -> None:
             )
     if params.planted_associations and params.n_universities < 3:
         raise SynthParamsError("planting correlations needs at least 3 universities")
-    areas = {f"A{i:02d}" for i in range(1, params.n_areas + 1)}
+    universities, areas, sectors = _layout(params)
+    for name, known, what in (("staff_overrides", universities, "university"),
+                              ("area_propensity_overrides", areas, "area"),
+                              ("sds_propensity_overrides", sectors, "sector")):
+        unknown = getattr(params, name).keys() - set(known)
+        if unknown:
+            raise SynthParamsError(f"{name}[{min(unknown)}] names no generated {what}")
     for assoc in params.planted_associations:
         if assoc.area not in areas:
             raise SynthParamsError(f"planted area '{assoc.area}' does not exist")
@@ -290,48 +316,43 @@ def _fallback_class(base: Propensities, n_universities: int) -> str:
     return max(available, key=lambda c: (getattr(base, c), -CLASS_ORDER.index(c)))
 
 
+def _quota(rng: np.random.Generator, n: int, q: float) -> np.ndarray:
+    """A mask over n publications with round(q*n) of them set at random."""
+    members = np.zeros(n, dtype=bool)
+    k = int(round(q * n))
+    if k:
+        members[rng.permutation(n)[:k]] = True
+    return members
+
+
 def generate_corpus(params: SynthParams) -> SynthResult:
     """Build a synthetic corpus plus its ground-truth manifest."""
     _check_params(params)
     seed = params.seed
     period = (params.start_year, params.start_year + params.years - 1)
+    universities, areas, sector_entries = _layout(params)
+    sectors = sorted(sector_entries)
 
-    areas = [f"A{i:02d}" for i in range(1, params.n_areas + 1)]
-    sector_entries: dict[str, str] = {}
-    for area in areas:
-        for j in range(1, params.sds_per_area + 1):
-            sector_entries[f"{area}S{j:02d}"] = area
-    sectors = SectorMap(entries=sector_entries)
-
-    universities = [f"U{i:03d}" for i in range(1, params.n_universities + 1)]
-    organizations: dict[str, Organization] = {}
-    for i, univ in enumerate(universities, start=1):
-        organizations[univ] = Organization(
-            univ, f"University {i}", OrgClass.UNIV_DOMESTIC, params.home_country
-        )
-    dpr_pool = [f"DPR{i:02d}" for i in range(1, params.n_dpr + 1)]
-    for i, oid in enumerate(dpr_pool, start=1):
-        organizations[oid] = Organization(
-            oid, f"Research Institution {i}", OrgClass.DPR_DOMESTIC, params.home_country
-        )
-    enterprise_pool = [f"ENT{i:02d}" for i in range(1, params.n_enterprises + 1)]
-    for i, oid in enumerate(enterprise_pool, start=1):
-        organizations[oid] = Organization(
-            oid, f"Enterprise {i}", OrgClass.ENTERPRISE_DOMESTIC, params.home_country
-        )
-    foreign_pool = [f"FOR{i:02d}" for i in range(1, params.n_foreign + 1)]
-    for i, oid in enumerate(foreign_pool, start=1):
-        organizations[oid] = Organization(
-            oid,
-            f"Foreign Organization {i}",
-            OrgClass.FOREIGN,
-            FOREIGN_COUNTRIES[(i - 1) % len(FOREIGN_COUNTRIES)],
-        )
+    organizations = {
+        univ: Organization(univ, f"University {i}", OrgClass.UNIV_DOMESTIC, params.home_country)
+        for i, univ in enumerate(universities, start=1)
+    }
+    external_pools: dict[str, list[str]] = {}  # the partner classes after other_university
+    for name, prefix, size, label, org_class in (
+        ("dpr", "DPR", params.n_dpr, "Research Institution", OrgClass.DPR_DOMESTIC),
+        ("enterprise", "ENT", params.n_enterprises, "Enterprise", OrgClass.ENTERPRISE_DOMESTIC),
+        ("foreign", "FOR", params.n_foreign, "Foreign Organization", OrgClass.FOREIGN),
+    ):
+        external_pools[name] = [f"{prefix}{i:02d}" for i in range(1, size + 1)]
+        for i, oid in enumerate(external_pools[name]):
+            country = (FOREIGN_COUNTRIES[i % len(FOREIGN_COUNTRIES)]
+                       if org_class is OrgClass.FOREIGN else params.home_country)
+            organizations[oid] = Organization(oid, f"{label} {i + 1}", org_class, country)
 
     mu0, sigma = params.if_lognormal
     journals: dict[str, Journal] = {}
     journals_by_sds: dict[str, list[str]] = {}
-    for sds in sorted(sector_entries):
+    for sds in sectors:
         mu = mu0 + params.sector_if_spread * float(
             _rng(seed, "sector-if", sds).standard_normal()
         )
@@ -345,31 +366,16 @@ def generate_corpus(params: SynthParams) -> SynthResult:
                 by_year[year] = max(value, 0.0001)
             journals[jid] = Journal(jid, by_year)
 
-    staff_entries: dict[tuple[str, str, int], int] = {}
-    staff_of: dict[tuple[str, str], int] = {}
-    lo, hi = params.staff_range
-    for univ in universities:
-        for sds in sorted(sector_entries):
-            if univ in params.staff_overrides:
-                head = params.staff_overrides[univ]
-            else:
-                head = int(_rng(seed, "staff", univ, sds).integers(lo, hi + 1))
-            staff_of[(univ, sds)] = head
-            for year in range(period[0], period[1] + 1):
-                staff_entries[(univ, sds, year)] = head
-    roster = StaffRoster(entries=staff_entries)
-
     planted_by_area = {a.area: a for a in params.planted_associations}
-    planted_shares_by_area: dict[str, dict[str, float]] = {}
-    planted_prod_by_area: dict[str, dict[str, float]] = {}
+    # area -> (association, collaboration share and productivity multiplier by university)
+    planted: dict[str, tuple[PlantedAssociation, dict[str, float], dict[str, float]]] = {}
     planted_records: list[dict] = []
     for area in areas:
         assoc = planted_by_area.get(area)
         if assoc is None:
             continue
         shares, multipliers, achieved = _planted_drivers(params, assoc, universities)
-        planted_shares_by_area[area] = shares
-        planted_prod_by_area[area] = multipliers
+        planted[area] = (assoc, shares, multipliers)
         planted_records.append(
             {
                 "area": area,
@@ -380,28 +386,38 @@ def generate_corpus(params: SynthParams) -> SynthResult:
             }
         )
 
-    def base_propensities(sds: str, area: str) -> Propensities:
-        if sds in params.sds_propensity_overrides:
-            return params.sds_propensity_overrides[sds]
-        return params.area_propensity_overrides.get(area, params.collab_propensities)
-
+    no_peers = params.n_universities < 2
+    lo, hi = params.staff_range
+    staff_entries: dict[tuple[str, str, int], int] = {}
     publications: list[Publication] = []
-    for univ in universities:
-        univ_index = universities.index(univ)
-        partners_other = universities[:univ_index] + universities[univ_index + 1:]
-        for sds in sorted(sector_entries):
-            area = sector_entries[sds]
-            assoc = planted_by_area.get(area)
-            base = base_propensities(sds, area)
-
-            if assoc is not None:
-                pps = params.pubs_per_staff_mean * planted_prod_by_area[area][univ]
+    for u, univ in enumerate(universities):
+        pools = {"other_university": universities[:u] + universities[u + 1:], **external_pools}
+        # (publications per staff member, propensity multiplier), shared by an area's sectors
+        multipliers: dict[str, tuple[float, float]] = {}
+        for area in areas:
+            if area in planted:
+                prod = planted[area][2][univ]
             else:
-                spread = params.productivity_spread
-                pps = params.pubs_per_staff_mean * float(
-                    np.exp(_rng(seed, "prod", univ, area).normal(0.0, spread))
-                )
-            n = int(round(staff_of[(univ, sds)] * pps))
+                prod = float(np.exp(
+                    _rng(seed, "prod", univ, area).normal(0.0, params.productivity_spread)
+                ))
+            collab_mult = 1.0
+            if params.collab_variation > 0:
+                collab_mult = float(np.exp(
+                    _rng(seed, "collab", univ, area).normal(0.0, params.collab_variation)
+                ))
+            multipliers[area] = (params.pubs_per_staff_mean * prod, collab_mult)
+
+        for sds in sectors:
+            if univ in params.staff_overrides:
+                head = params.staff_overrides[univ]
+            else:
+                head = int(_rng(seed, "staff", univ, sds).integers(lo, hi + 1))
+            for year in range(period[0], period[1] + 1):
+                staff_entries[(univ, sds, year)] = head
+            area = sector_entries[sds]
+            pps, collab_mult = multipliers[area]
+            n = int(round(head * pps))
             if n <= 0:
                 continue
 
@@ -410,76 +426,48 @@ def generate_corpus(params: SynthParams) -> SynthResult:
             journal_ids = journals_by_sds[sds]
             journal_idx = rng.integers(0, len(journal_ids), size=n)
 
-            if params.collab_variation > 0:
-                collab_mult = float(
-                    np.exp(_rng(seed, "collab", univ, area).normal(0.0, params.collab_variation))
-                )
-            else:
-                collab_mult = 1.0
-
-            def effective(name: str) -> float:
-                q = getattr(base, name) * collab_mult
-                if name == "other_university" and params.n_universities < 2:
-                    return 0.0
-                return min(q, 0.97)
-
+            base = params.sds_propensity_overrides.get(
+                sds, params.area_propensity_overrides.get(area, params.collab_propensities)
+            )
+            assoc, shares, _ = planted.get(area, (None, {}, {}))
             flags: dict[str, np.ndarray] = {}
             if assoc is not None and assoc.x_metric == "CI_share":
-                share = planted_shares_by_area[area][univ]
-                k = int(round(share * n))
-                extramural = np.zeros(n, dtype=bool)
-                if k:
-                    extramural[rng.permutation(n)[:k]] = True
+                extramural = _quota(rng, n, shares[univ])
                 for name in CLASS_ORDER:
                     w = getattr(base, name) / X_CENTER
-                    if name == "other_university" and params.n_universities < 2:
+                    if name == "other_university" and no_peers:
                         w = 0.0
                     flags[name] = extramural & (rng.random(n) < min(w, 1.0))
-                uncovered = extramural & ~np.logical_or.reduce(
-                    [flags[name] for name in CLASS_ORDER]
-                )
+                uncovered = extramural & ~np.logical_or.reduce(list(flags.values()))
                 if uncovered.any():
                     flags[_fallback_class(base, params.n_universities)] |= uncovered
             else:
-                planted_class = None
-                if assoc is not None:
-                    planted_class = {"FCI": "foreign", "DCI": "enterprise"}[assoc.x_metric]
+                planted_class = assoc and {"FCI": "foreign", "DCI": "enterprise"}[assoc.x_metric]
                 for name in CLASS_ORDER:
                     if name == planted_class:
-                        q = planted_shares_by_area[area][univ]
+                        q = shares[univ]
+                    elif name == "other_university" and no_peers:
+                        q = 0.0
                     else:
-                        q = effective(name)
-                    k = int(round(q * n))
-                    members = np.zeros(n, dtype=bool)
-                    if k:
-                        members[rng.permutation(n)[:k]] = True
-                    flags[name] = members
+                        q = min(getattr(base, name) * collab_mult, 0.97)
+                    flags[name] = _quota(rng, n, q)
 
-            # partner picks, one batched draw per class
-            partner_idx = {
-                "other_university": rng.integers(0, max(len(partners_other), 1), size=n),
-                "dpr": rng.integers(0, len(dpr_pool), size=n),
-                "enterprise": rng.integers(0, len(enterprise_pool), size=n),
-                "foreign": rng.integers(0, len(foreign_pool), size=n),
-            }
-
-            for i in range(n):
-                orgs = {univ}
-                if flags["other_university"][i] and partners_other:
-                    orgs.add(partners_other[partner_idx["other_university"][i]])
-                if flags["dpr"][i]:
-                    orgs.add(dpr_pool[partner_idx["dpr"][i]])
-                if flags["enterprise"][i]:
-                    orgs.add(enterprise_pool[partner_idx["enterprise"][i]])
-                if flags["foreign"][i]:
-                    orgs.add(foreign_pool[partner_idx["foreign"][i]])
+            # partner picks, one batched draw per class in CLASS_ORDER
+            picks = [
+                (flags[name].tolist(), pool,
+                 rng.integers(0, max(len(pool), 1), size=n).tolist())
+                for name, pool in pools.items()
+            ]
+            credit = (Attribution(university=univ, sds=sds),)
+            for i, (year, j) in enumerate(zip(years.tolist(), journal_idx.tolist())):
+                partners = [pool[idx[i]] for flag, pool, idx in picks if flag[i]]
                 publications.append(
                     Publication(
                         pub_id=f"{univ}-{sds}-{i + 1:04d}",
-                        year=int(years[i]),
-                        journal_id=journal_ids[int(journal_idx[i])],
-                        org_ids=frozenset(orgs),
-                        attributions=(Attribution(university=univ, sds=sds),),
+                        year=year,
+                        journal_id=journal_ids[j],
+                        org_ids=frozenset([univ, *partners]),
+                        attributions=credit,
                     )
                 )
 
@@ -487,18 +475,15 @@ def generate_corpus(params: SynthParams) -> SynthResult:
         publications=tuple(publications),
         organizations=organizations,
         journals=journals,
-        staff=roster,
-        sectors=sectors,
+        staff=StaffRoster(entries=staff_entries),
+        sectors=SectorMap(entries=sector_entries),
         home_country=params.home_country,
         period=period,
     )
     ground_truth = GroundTruth(
         planted_shares={
-            area: base_propensities_area.as_dict()
-            for area, base_propensities_area in (
-                (a, params.area_propensity_overrides.get(a, params.collab_propensities))
-                for a in areas
-            )
+            area: params.area_propensity_overrides.get(area, params.collab_propensities).as_dict()
+            for area in areas
         },
         planted_correlations=planted_records,
         staff_overrides=dict(params.staff_overrides),

@@ -160,6 +160,13 @@ class TestSynthCommand:
                      id="if_lognormal-infinite"),
         pytest.param(b'{"pubs_per_staff_mean": NaN}', "pubs_per_staff_mean",
                      id="pubs_per_staff_mean-nan"),
+        pytest.param(b'{"n_universities": 3, "staff_overrides": {"U999": 3}}',
+                     "staff_overrides[U999]", id="staff_overrides-unknown-university"),
+        pytest.param(json.dumps({"n_areas": 2, "area_propensity_overrides": {"A03": {}}}).encode(),
+                     "area_propensity_overrides[A03]", id="area_propensity_overrides-unknown-area"),
+        pytest.param(json.dumps({"sds_per_area": 2, "sds_propensity_overrides": {"A01S03": {}}})
+                     .encode(), "sds_propensity_overrides[A01S03]",
+                     id="sds_propensity_overrides-unknown-sector"),
     ])
     def test_invalid_params_exit_nonzero(self, runner, tmp_path, content, name):
         params_file = tmp_path / "params.json"

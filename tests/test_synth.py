@@ -1,7 +1,11 @@
+import collections
 import json
+import math
+import re
 
 import pytest
 
+from collabmetrics import synth
 from collabmetrics.corpus import validate_corpus
 from collabmetrics.indicators import compute_indicators
 from collabmetrics.synth import (
@@ -54,6 +58,34 @@ class TestDeterminism:
         assert {k: v for k, v in large.staff.entries.items() if k[0] in keep} == dict(
             small.staff.entries
         )
+
+
+    @pytest.mark.parametrize("params", [
+        SynthParams(seed=3, n_universities=5),
+        SynthParams(seed=3, n_universities=5, n_areas=2, planted_associations=(
+            PlantedAssociation("A02", "CI_share", "P", 0.5, noise=0.2),
+        )),
+    ], ids=["unplanted", "planted"])
+    def test_each_stream_built_once(self, monkeypatch, params):
+        built = collections.Counter()
+        rng = synth._rng
+
+        def counting_rng(seed, *parts):
+            built[(seed, *parts)] += 1
+            return rng(seed, *parts)
+
+        monkeypatch.setattr(synth, "_rng", counting_rng)
+        generate_corpus(params)
+        assert built
+        assert [key for key, count in built.items() if count > 1] == []
+
+    def test_one_credit_line_per_cell(self):
+        corpus = generate_corpus(SynthParams(seed=7, n_universities=6)).corpus
+        credit_of_cell = {}
+        for pub in corpus.publications:
+            (credit,) = pub.attributions
+            assert credit_of_cell.setdefault((credit.university, credit.sds), credit) is credit
+        assert len(credit_of_cell) > 1
 
 
 class TestValidity:
@@ -216,3 +248,18 @@ class TestParamValidation:
         )
         with pytest.raises(SynthParamsError, match="at least 3"):
             generate_corpus(params)
+
+    @pytest.mark.parametrize("overrides,name", [
+        pytest.param({"if_lognormal": (0.0, math.inf)}, "if_lognormal[1]", id="if_lognormal-inf"),
+        pytest.param({"collab_variation": math.nan}, "collab_variation", id="collab_variation-nan"),
+        pytest.param({"sector_if_spread": math.inf}, "sector_if_spread",
+                     id="sector_if_spread-inf"),
+        pytest.param({"pubs_per_staff_mean": math.nan}, "pubs_per_staff_mean",
+                     id="pubs_per_staff_mean-nan"),
+        pytest.param({"planted_associations": (
+            PlantedAssociation("A01", "FCI", "P", 0.5, noise=math.nan),
+        )}, "planted_associations[0].noise", id="noise-nan"),
+    ])
+    def test_non_finite_value_rejected(self, overrides, name):
+        with pytest.raises(SynthParamsError, match=re.escape(name)):
+            generate_corpus(SynthParams(seed=1, n_universities=3, **overrides))
