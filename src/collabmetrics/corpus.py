@@ -3,8 +3,10 @@
 Each record invariant has one check, called by the loaders (which fail fast
 with file/line context, after the file-shape checks only a raw row needs)
 and by ``validate_corpus``, which also checks references across files; a
-loader does not, so that broken corpora can still be inspected.  The stage
-tables (indicators.csv, aggregates.csv) are read by the same strict reader.
+loader does not, so that broken corpora can still be inspected.  A checked
+``load_corpus`` runs only the reference checks, since its loaders have
+already checked every record.  The stage tables (indicators.csv,
+aggregates.csv) are read by the same strict reader.
 """
 
 from __future__ import annotations
@@ -133,10 +135,11 @@ class Corpus:
     """The cross-linked input files.
 
     Two facts are derived once and cached: ``profiles`` (collaboration
-    class of each publication) and ``normalized_ifs`` (sector-normalized
-    impact factors).  Both depend only on fields that never change, so
-    a cached value cannot go stale (``dataclasses.replace`` gives a
-    fresh cache).
+    class of each publication, classified once per distinct organization
+    set, so equal sets share one profile) and ``normalized_ifs``
+    (sector-normalized impact factors).  Both depend only on fields that
+    never change, so a cached value cannot go stale
+    (``dataclasses.replace`` gives a fresh cache).
     """
 
     publications: tuple[Publication, ...]
@@ -150,9 +153,11 @@ class Corpus:
     @cached_property
     def profiles(self) -> tuple[CollabProfile, ...]:
         """Collaboration profile of each publication, in input order."""
-        return tuple(
-            classify_collaboration(pub, self.organizations) for pub in self.publications
-        )
+        by_org_set: dict[frozenset[str], CollabProfile] = {}
+        for pub in self.publications:
+            if pub.org_ids not in by_org_set:
+                by_org_set[pub.org_ids] = classify_collaboration(pub, self.organizations)
+        return tuple(by_org_set[pub.org_ids] for pub in self.publications)
 
     def publications_by_sds(self) -> dict[str, list[Publication]]:
         """Publications of each sector (a publication once per sector it
@@ -335,11 +340,18 @@ class ValidationReport:
 
 
 def validate_corpus(corpus: Corpus) -> ValidationReport:
-    """Check every cross-reference and registry invariant of a corpus.
+    """Check every record, cross-reference and registry invariant of a corpus.
 
     Dangling references are aggregated one issue per missing id (with a
-    reference count) so one broken registry row yields one error.
+    reference count) so one broken registry row yields one error.  A checked
+    ``load_corpus`` runs the reference checks only.
     """
+    return _validate(corpus, records=True)
+
+
+def _validate(corpus: Corpus, records: bool) -> ValidationReport:
+    """``validate_corpus``; without ``records`` only the references across
+    files are checked (the loaders have checked each record)."""
     issues: list[ValidationIssue] = []
 
     def error(location: str, message: str):
@@ -350,20 +362,21 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
 
     period = corpus.period
 
-    for org in corpus.organizations.values():
-        for _field, message in _organization_problems(org, corpus.home_country):
-            error(f"organizations[{org.org_id}]", message)
+    if records:
+        for org in corpus.organizations.values():
+            for _field, message in _organization_problems(org, corpus.home_country):
+                error(f"organizations[{org.org_id}]", message)
 
-    for journal in corpus.journals.values():
-        if not journal.impact_factor_by_year:
-            error(f"journals[{journal.journal_id}]", "no impact factor years")
-        for year, impact in journal.impact_factor_by_year.items():
-            for _field, message in _impact_problems(year, impact):
-                error(f"journals[{journal.journal_id}]", message)
+        for journal in corpus.journals.values():
+            if not journal.impact_factor_by_year:
+                error(f"journals[{journal.journal_id}]", "no impact factor years")
+            for year, impact in journal.impact_factor_by_year.items():
+                for _field, message in _impact_problems(year, impact):
+                    error(f"journals[{journal.journal_id}]", message)
 
-    for (univ, sds, year), headcount in corpus.staff.entries.items():
-        for _field, message in _staff_problems(year, headcount, period):
-            error(f"staff[{univ},{sds},{year}]", message)
+        for (univ, sds, year), headcount in corpus.staff.entries.items():
+            for _field, message in _staff_problems(year, headcount, period):
+                error(f"staff[{univ},{sds},{year}]", message)
 
     missing_journals: dict[str, int] = {}
     missing_orgs: dict[str, int] = {}
@@ -371,6 +384,7 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
     missing_if: dict[tuple[str, int], int] = {}
     missing_universities: dict[str, int] = {}
     unrostered: dict[tuple[str, str], int] = {}
+    pubs_by_org_set: dict[frozenset[str], int] = {}
     seen_pub_ids: set[str] = set()
     roster_pairs = corpus.staff.pairs()
 
@@ -379,9 +393,9 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
             missing_sds[sds] = missing_sds.get(sds, 0) + 1
 
     for pub in corpus.publications:
-        loc = f"publications[{pub.pub_id}]"
-        for _field, message in _publication_problems(pub, period, seen_pub_ids):
-            error(loc, message)
+        if records:
+            for _field, message in _publication_problems(pub, period, seen_pub_ids):
+                error(f"publications[{pub.pub_id}]", message)
 
         journal = corpus.journals.get(pub.journal_id)
         if journal is None:
@@ -390,9 +404,7 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
             key = (pub.journal_id, pub.year)
             missing_if[key] = missing_if.get(key, 0) + 1
 
-        for oid in sorted(pub.org_ids):
-            if oid not in corpus.organizations:
-                missing_orgs[oid] = missing_orgs.get(oid, 0) + 1
+        pubs_by_org_set[pub.org_ids] = pubs_by_org_set.get(pub.org_ids, 0) + 1
 
         for att in pub.attributions:
             org = corpus.organizations.get(att.university)
@@ -402,13 +414,13 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
                 )
             elif org.org_class is not OrgClass.UNIV_DOMESTIC:
                 error(
-                    loc,
+                    f"publications[{pub.pub_id}]",
                     f"attributed university '{att.university}' has class "
                     f"{org.org_class.value}",
                 )
             if att.university not in pub.org_ids:
                 error(
-                    loc,
+                    f"publications[{pub.pub_id}]",
                     f"attributed university '{att.university}' missing from "
                     "organization set",
                 )
@@ -417,6 +429,11 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
             elif (att.university, att.sds) not in roster_pairs:
                 key = (att.university, att.sds)
                 unrostered[key] = unrostered.get(key, 0) + 1
+
+    for org_ids, count in pubs_by_org_set.items():
+        for oid in org_ids:
+            if oid not in corpus.organizations:
+                missing_orgs[oid] = missing_orgs.get(oid, 0) + count
 
     for jid, count in sorted(missing_journals.items()):
         error(f"journals[{jid}]", f"dangling journal_id referenced by {count} publication(s)")
@@ -439,7 +456,6 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
             f"staff[{univ},{sds}]",
             f"attribution without roster entry ({count} publication(s))",
         )
-
     return ValidationReport(issues=tuple(issues))
 
 
@@ -457,15 +473,16 @@ def _read_csv(path, expected_header: list[str]):
     """Yield (line_number, row) for a strict-header CSV file."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(_utf8_lines(path, fh))
+        rows = _csv_rows(path, reader)
         try:
-            header = next(reader)
+            header = next(rows)
         except StopIteration:
             raise CorpusLoadError(path, 1, "missing header row") from None
         if header != expected_header:
             raise CorpusLoadError(
                 path, 1, f"expected header {','.join(expected_header)}, got {','.join(header)}"
             )
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in enumerate(rows, start=2):
             if not row:
                 continue
             if len(row) != len(expected_header):
@@ -473,6 +490,15 @@ def _read_csv(path, expected_header: list[str]):
                     path, lineno, f"expected {len(expected_header)} fields, got {len(row)}"
                 )
             yield lineno, row
+
+
+def _csv_rows(path, reader):
+    """The rows of a csv ``reader`` of ``path``; a parse failure (such as a
+    field over the csv size limit) is a load error where the reader stopped."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise CorpusLoadError(path, reader.line_num, str(exc)) from None
 
 
 def _utf8_lines(path, fh):
@@ -600,10 +626,12 @@ def load_sectors(path) -> SectorMap:
 
 
 def load_publications(path, period: tuple[int, int]) -> tuple[Publication, ...]:
-    """The publications of ``path``; equal attributions are one shared object."""
+    """The publications of ``path``; equal organization sets and equal
+    attributions are each one shared object."""
     pubs: list[Publication] = []
     seen_ids: set[str] = set()
     shared: dict[tuple[str, str], Attribution] = {}
+    org_sets: dict[frozenset[str], frozenset[str]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(_utf8_lines(path, fh), start=1):
             line = line.strip()
@@ -611,8 +639,9 @@ def load_publications(path, period: tuple[int, int]) -> tuple[Publication, ...]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusLoadError(path, lineno, f"invalid JSON: {exc.msg}") from None
+            except (ValueError, RecursionError) as exc:  # also too deep, or too many digits
+                message = getattr(exc, "msg", exc)  # a JSONDecodeError's message has no position
+                raise CorpusLoadError(path, lineno, f"invalid JSON: {message}") from None
             if not isinstance(obj, dict):
                 raise CorpusLoadError(path, lineno, "expected a JSON object")
             for key in PUBLICATION_FIELDS:
@@ -634,8 +663,10 @@ def load_publications(path, period: tuple[int, int]) -> tuple[Publication, ...]:
             orgs = obj["orgs"]
             if not isinstance(orgs, list) or not all(isinstance(o, str) for o in orgs):
                 raise CorpusLoadError(path, lineno, "must be a list of strings", "orgs")
-            if len(set(orgs)) != len(orgs):
+            org_ids = frozenset(orgs)
+            if len(org_ids) != len(orgs):
                 raise CorpusLoadError(path, lineno, "duplicate organization ids", "orgs")
+            org_ids = org_sets.setdefault(org_ids, org_ids)
 
             raw_atts = obj["attributions"]
             if not isinstance(raw_atts, list):
@@ -662,7 +693,7 @@ def load_publications(path, period: tuple[int, int]) -> tuple[Publication, ...]:
                 pub_id=pub_id,
                 year=year,
                 journal_id=journal,
-                org_ids=frozenset(orgs),
+                org_ids=org_ids,
                 attributions=tuple(attributions),
             )
             _raise_first(path, lineno, _publication_problems(pub, period, seen_ids))
@@ -682,7 +713,9 @@ def load_corpus(
 ) -> Corpus:
     """Load and cross-link the five input files into a Corpus.
 
-    With ``check`` (the default) the corpus is validated and a
+    The loaders raise on the first record that breaks an invariant.  With
+    ``check`` (the default) the references across files are then checked
+    (the loaders have already checked every record) and a
     ``CorpusValidationError`` raised on any referential error; with
     ``check=False`` the possibly-inconsistent corpus is returned for
     inspection via ``validate_corpus``.
@@ -697,7 +730,7 @@ def load_corpus(
         period=config.period,
     )
     if check:
-        report = validate_corpus(corpus)
+        report = _validate(corpus, records=False)
         if not report.ok:
             raise CorpusValidationError(report)
     return corpus

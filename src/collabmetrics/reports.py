@@ -208,8 +208,10 @@ def _area_profile_pooled(corpus: Corpus) -> list[AreaProfileRow]:
         area: {"output": 0, "CI": 0, "CI_UNI": 0, "CI_DPR": 0, "FCI": 0, "DCI": 0}
         for area in corpus.sectors.areas()
     }
+    areas = corpus.sectors.entries  # area_of only for its error on an unmapped sector
     for pub, profile in zip(corpus.publications, corpus.profiles):
-        pub_areas = {corpus.sectors.area_of(sds) for sds in pub.sds_codes()}
+        pub_areas = {areas.get(att.sds) or corpus.sectors.area_of(att.sds)
+                     for att in pub.attributions}
         for area in pub_areas:
             c = counters[area]
             c["output"] += 1

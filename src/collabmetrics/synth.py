@@ -236,7 +236,7 @@ def load_params(seed: int, params_path: Path | None) -> SynthParams:
         return SynthParams(seed=seed)
     try:
         raw = json.loads(params_path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
         raise SynthParamsError(f"{params_path}: {exc}") from None
     if not isinstance(raw, dict):
         raise SynthParamsError("params file must hold a JSON object")

@@ -97,6 +97,50 @@ class TestValidateCommand:
         assert_clean_failure(result)
         assert f"{name}:{line}: not valid UTF-8" in result.output
 
+    def test_oversized_csv_field_reports_location(self, runner, data_dir):
+        path = data_dir / "organizations.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = lines[2].replace(",", "," + "x" * 131073, 1)
+        path.write_text("".join(lines))
+        result = runner.invoke(cli, ["validate"] + corpus_args(data_dir))
+        assert_clean_failure(result)
+        assert "organizations.csv:3: field larger than field limit (131072)" in result.output
+
+    @pytest.mark.parametrize("value,message", [
+        pytest.param("[" * 100_000, "maximum recursion depth exceeded", id="deep-nesting"),
+        pytest.param('{"year": ' + "1" * 5000 + "}", "Exceeds the limit (4300 digits)",
+                     id="long-integer"),
+    ])
+    def test_undecodable_json_reports_location(self, runner, data_dir, value, message):
+        path = data_dir / "publications.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = value + "\n"
+        path.write_text("".join(lines))
+        result = runner.invoke(cli, ["validate"] + corpus_args(data_dir))
+        assert_clean_failure(result)
+        assert f"publications.jsonl:2: invalid JSON: {message}" in result.output
+
+    def test_dangling_orgs_reported_alike_under_any_hash_seed(self, data_dir):
+        import collabmetrics
+
+        orgs = data_dir / "organizations.csv"
+        header, *rows = orgs.read_text().splitlines(keepends=True)
+        orgs.write_text(header + "".join(r for r in rows if ",UNIV_DOMESTIC," in r))
+        src = str(Path(collabmetrics.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        outputs = []
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "collabmetrics.cli", "validate"] + corpus_args(data_dir),
+                env=dict(os.environ, PYTHONHASHSEED=seed,
+                         PYTHONPATH=src + (os.pathsep + path if path else "")),
+                capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 1, proc.stderr
+            outputs.append(proc.stdout)
+        assert "dangling org_id referenced by" in outputs[0]
+        assert outputs[0] == outputs[1]
+
     def test_bad_period_rejected(self, runner, data_dir):
         for period in ("soon", "2003-2001"):
             result = runner.invoke(
@@ -148,6 +192,7 @@ class TestSynthCommand:
         pytest.param(b'{"planted_associations": {}}', "planted_associations",
                      id="planted_associations-object"),
         pytest.param(b'{"seed": 1}\xff', "params.json", id="non-utf8"),
+        pytest.param(b"[" * 100_000, "params.json", id="deep-nesting"),
         pytest.param(b'{"n_universities": "x"}', "n_universities", id="n_universities-string"),
         pytest.param(b'{"staff_range": 5}', "staff_range", id="staff_range-int"),
         pytest.param(b'{"seed": "x"}', "seed", id="seed-string"),
@@ -310,6 +355,10 @@ class TestPipeline:
         pytest.param("correlate", "n_sectors", "aggregates.csv", b"-1",
                      "column 'n_sectors': negative number: '-1'",
                      id="correlate-negative-n_sectors"),
+        pytest.param("aggregate", "university", "indicators.csv", b"U" * 131073,
+                     "field larger than field limit (131072)", id="aggregate-oversized-field"),
+        pytest.param("correlate", "university", "aggregates.csv", b"U" * 131073,
+                     "field larger than field limit (131072)", id="correlate-oversized-field"),
     ])
     def test_malformed_stage_input_reports_location(
         self, runner, data_dir, tmp_path, command, column, table, cell, message
@@ -442,11 +491,12 @@ class TestPipeline:
         pubs = [json.loads(line) for line in
                 (data_dir / "publications.jsonl").read_text().splitlines()]
         credited = sum(len({a["sds"] for a in p["attributions"]}) for p in pubs)
+        org_sets = len({frozenset(p["orgs"]) for p in pubs})
         result = runner.invoke(
             cli, argv[:1] + corpus_args(data_dir) + ["--out", str(tmp_path / "out")] + argv[1:]
         )
         assert result.exit_code == 0, result.output
-        assert calls == {"classify": len(pubs), "compute": 1, "impact": credited}
+        assert calls == {"classify": org_sets, "compute": 1, "impact": credited}
 
 
 def test_cli_import_leaves_numpy_out():

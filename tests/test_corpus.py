@@ -211,6 +211,33 @@ class TestLoad:
         moved = dataclasses.replace(p1, attributions=p3.attributions)
         assert moved.pub_id == "p1" and moved.attributions == (Attribution("UB", "S1"),)
 
+    def test_equal_org_sets_share_one_set_and_profile(self, tmp_path):
+        paths = write_minimal_files(tmp_path, pub_lines=[
+            {**PUB_LINE, "id": "p1", "orgs": ["UA", "UB"]},
+            {**PUB_LINE, "id": "p2", "orgs": ["UB", "UA"]},
+            {**PUB_LINE, "id": "p3"},
+        ])
+        corpus = load_from(paths)
+        p1, p2, p3 = corpus.publications
+        assert p1.org_ids is p2.org_ids
+        assert p3.org_ids == frozenset({"UA"})
+        assert corpus.profiles[0] is corpus.profiles[1]
+        assert corpus.profiles[2] is not corpus.profiles[0]
+        assert corpus.profiles[2] == classify_collaboration(p3, corpus.organizations)
+
+    def test_checked_load_checks_each_publication_once(self, tmp_path, monkeypatch):
+        from collabmetrics import corpus as corpus_mod
+
+        checked = []
+        check = corpus_mod._publication_problems
+        monkeypatch.setattr(corpus_mod, "_publication_problems",
+                            lambda pub, *args: checked.append(pub.pub_id) or check(pub, *args))
+        paths = write_minimal_files(tmp_path, pub_lines=[
+            {**PUB_LINE, "id": pub_id} for pub_id in ("p1", "p2", "p3")
+        ])
+        load_from(paths)
+        assert checked == ["p1", "p2", "p3"]
+
 
 class TestRoundTrip:
     def test_generator_output_loads_and_round_trips(self, tmp_path):
@@ -305,6 +332,16 @@ class TestValidate:
         assert any("dangling journal_id" in m for m in messages)
         assert any("dangling org_id" in m for m in messages)
         assert any("dangling sds" in m for m in messages)
+
+    def test_dangling_org_counted_per_publication_of_equal_sets(self, tmp_path):
+        corpus = load_from(write_minimal_files(tmp_path))
+        pubs = tuple(pub_with(pub_id=pub_id, org_ids=frozenset(["UA", "GHOST"]))
+                     for pub_id in ("p1", "p2"))
+        assert pubs[0].org_ids == pubs[1].org_ids and pubs[0].org_ids is not pubs[1].org_ids
+        report = validate_corpus(dataclasses.replace(corpus, publications=pubs))
+        assert [e.describe() for e in report.issues] == [
+            "[error] organizations[GHOST]: dangling org_id referenced by 2 publication(s)"
+        ]
 
 
 PUB_LINE = {
