@@ -17,18 +17,6 @@ from . import stats
 from .corpus import CorpusLoadError, SectorMap, _cell, _parse_numbers, _read_csv, _write_csv
 from .indicators import IndicatorRecord
 
-# aggregate field -> indicator record field feeding its normalization
-AGGREGATE_SOURCES = {
-    "P": "P",
-    "FP": "FP",
-    "QP": "QP",
-    "FQP": "FQP",
-    "QI": "QI",
-    "CI": None,  # resolved by ci_mode
-    "FCI": "FCI",
-    "DCI": "DCI",
-}
-
 AREA_INDICATORS = ("P", "FP", "QP", "FQP", "QI", "CI", "FCI", "DCI")
 
 CI_MODES = {"share": "CI_share", "ratio": "CI_ratio"}
@@ -40,7 +28,8 @@ class AggregateError(Exception):
 
 @dataclass(frozen=True)
 class NormalizedCell:
-    """One (university, sds) cell rescaled to its sector means."""
+    """One (university, sds) cell rescaled to its sector means; the values
+    follow ``AREA_INDICATORS`` order."""
 
     university: str
     sds: str
@@ -81,16 +70,9 @@ class AreaAggregate:
 
 
 @dataclass(frozen=True)
-class Exclusion:
-    university: str
-    area: str
-    area_staff: float
-
-
-@dataclass(frozen=True)
 class FilterResult:
     kept: tuple[AreaAggregate, ...]
-    excluded: tuple[Exclusion, ...]
+    excluded: tuple[AreaAggregate, ...]
 
 
 def normalize_to_sds_mean(
@@ -105,46 +87,32 @@ def normalize_to_sds_mean(
     """
     if ci_mode not in CI_MODES:
         raise AggregateError(f"unknown ci_mode '{ci_mode}' (use share|ratio)")
-    sources = dict(AGGREGATE_SOURCES)
-    sources["CI"] = CI_MODES[ci_mode]
+    # normalized indicator -> the indicator record field it is computed from
+    sources = {name: name for name in AREA_INDICATORS} | {"CI": CI_MODES[ci_mode]}
 
     by_sds: dict[str, list[IndicatorRecord]] = {}
     for rec in records:
         by_sds.setdefault(rec.sds, []).append(rec)
 
-    means: dict[tuple[str, str], float | None] = {}
+    means: dict[str, list[float | None]] = {}  # sds -> mean of each source
     zero_mean: list[tuple[str, str]] = []
     for sds in sorted(by_sds):
+        means[sds] = []
         for target, source in sources.items():
             # unit weights: the plain mean of the defined values
             mean = stats.weighted_mean((getattr(rec, source), 1) for rec in by_sds[sds])
             if mean == 0.0:
                 mean = None
                 zero_mean.append((sds, target))
-            means[(sds, target)] = mean
+            means[sds].append(mean)
 
     cells = []
     for rec in records:
-        normalized: dict[str, float | None] = {}
-        for target, source in sources.items():
+        normalized = []
+        for source, mean in zip(sources.values(), means[rec.sds]):
             value = getattr(rec, source)
-            mean = means[(rec.sds, target)]
-            normalized[target] = None if value is None or mean is None else value / mean
-        cells.append(
-            NormalizedCell(
-                university=rec.university,
-                sds=rec.sds,
-                Pn=normalized["P"],
-                FPn=normalized["FP"],
-                QPn=normalized["QP"],
-                FQPn=normalized["FQP"],
-                QIn=normalized["QI"],
-                CIn=normalized["CI"],
-                FCIn=normalized["FCI"],
-                DCIn=normalized["DCI"],
-                Add=rec.staff,
-            )
-        )
+            normalized.append(None if value is None or mean is None else value / mean)
+        cells.append(NormalizedCell(rec.university, rec.sds, *normalized, rec.staff))
     return NormalizeResult(cells=tuple(cells), zero_mean=tuple(zero_mean))
 
 
@@ -198,7 +166,7 @@ def filter_small_universities(
     excluded = []
     for agg in aggregates:
         if agg.total_staff < threshold:
-            excluded.append(Exclusion(agg.university, agg.area, agg.total_staff))
+            excluded.append(agg)
         else:
             kept.append(agg)
     return FilterResult(kept=tuple(kept), excluded=tuple(excluded))
@@ -216,7 +184,7 @@ _NUMBER_KINDS = dict.fromkeys(AGGREGATES_HEADER[2:12]) | {"staff": float, "n_sec
 
 
 def write_aggregates_csv(
-    aggregates: Iterable[AreaAggregate], excluded: Iterable[Exclusion], path
+    aggregates: Iterable[AreaAggregate], excluded: Iterable[AreaAggregate], path
 ) -> None:
     flagged = {(e.university, e.area) for e in excluded}
     rows = sorted(aggregates, key=lambda a: (a.university, a.area))
@@ -232,11 +200,15 @@ def write_aggregates_csv(
 def read_aggregates_csv(path) -> FilterResult:
     kept = []
     excluded = []
+    seen: set[tuple[str, str]] = set()
     for lineno, row in _read_csv(path, AGGREGATES_HEADER):
+        if (row[0], row[1]) in seen:
+            raise CorpusLoadError(path, lineno, f"duplicate row for {row[0]}/{row[1]}")
+        seen.add((row[0], row[1]))
         values = _parse_numbers(path, lineno, _NUMBER_KINDS, row[2:12])
         agg = AreaAggregate(row[0], row[1], total_staff=values.pop("staff"), **values)
         if row[12] == "true":
-            excluded.append(Exclusion(agg.university, agg.area, agg.total_staff))
+            excluded.append(agg)
         elif row[12] == "false":
             kept.append(agg)
         else:

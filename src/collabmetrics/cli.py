@@ -275,10 +275,10 @@ def _aggregate_records(records, sectors, ci_mode: str, threshold: float):
         )
     aggregates = agg.aggregate_area(normalized.cells, sectors)
     result = agg.filter_small_universities(aggregates, threshold=threshold)
-    for exclusion in result.excluded:
+    for row in result.excluded:
         click.echo(
-            f"excluded {exclusion.university}/{exclusion.area} "
-            f"(area staff {exclusion.area_staff:g} < {threshold:g})"
+            f"excluded {row.university}/{row.area} "
+            f"(area staff {row.total_staff:g} < {threshold:g})"
         )
     return aggregates, result
 

@@ -15,6 +15,7 @@ import csv
 import enum
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -238,8 +239,9 @@ def classify_collaboration(
     for oid in pub.org_ids:
         org = organizations.get(oid)
         if org is None:
+            unknown = min(o for o in pub.org_ids if o not in organizations)
             raise CorpusError(
-                f"publication '{pub.pub_id}': unknown organization '{oid}'"
+                f"publication '{pub.pub_id}': unknown organization '{unknown}'"
             )
         classes.append(org.org_class)
         if org.org_class is OrgClass.UNIV_DOMESTIC:
@@ -349,6 +351,20 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
     return _validate(corpus, records=True)
 
 
+# One row per reference across files, in report order: (severity, location,
+# message).  Both are formatted with the missing key's parts; the message also
+# with ``n``, the number of records that hold the reference.
+_REFERENCES = (
+    ("error", "journals[{0}]", "dangling journal_id referenced by {n} publication(s)"),
+    ("error", "organizations[{0}]", "dangling org_id referenced by {n} publication(s)"),
+    ("error", "organizations[{0}]", "dangling university id in {n} attribution(s)"),
+    ("error", "sectors[{0}]", "dangling sds referenced by {n} record(s)"),
+    ("error", "journals[{0}]", "missing impact factor for year {1} ({n} publication(s))"),
+    ("warning", "staff[{0},{1}]", "attribution without roster entry ({n} publication(s))"),
+)
+_JOURNAL, _ORG, _UNIVERSITY, _SDS, _IMPACT, _ROSTER = range(len(_REFERENCES))
+
+
 def _validate(corpus: Corpus, records: bool) -> ValidationReport:
     """``validate_corpus``; without ``records`` only the references across
     files are checked (the loaders have checked each record)."""
@@ -356,9 +372,6 @@ def _validate(corpus: Corpus, records: bool) -> ValidationReport:
 
     def error(location: str, message: str):
         issues.append(ValidationIssue("error", location, message))
-
-    def warning(location: str, message: str):
-        issues.append(ValidationIssue("warning", location, message))
 
     period = corpus.period
 
@@ -378,19 +391,15 @@ def _validate(corpus: Corpus, records: bool) -> ValidationReport:
             for _field, message in _staff_problems(year, headcount, period):
                 error(f"staff[{univ},{sds},{year}]", message)
 
-    missing_journals: dict[str, int] = {}
-    missing_orgs: dict[str, int] = {}
-    missing_sds: dict[str, int] = {}
-    missing_if: dict[tuple[str, int], int] = {}
-    missing_universities: dict[str, int] = {}
-    unrostered: dict[tuple[str, str], int] = {}
+    # (reference row, missing key) -> number of records holding the reference
+    missing: Counter[tuple[int, tuple]] = Counter()
     pubs_by_org_set: dict[frozenset[str], int] = {}
     seen_pub_ids: set[str] = set()
     roster_pairs = corpus.staff.pairs()
 
     for (_u, sds, _y) in corpus.staff.entries:
         if sds not in corpus.sectors.entries:
-            missing_sds[sds] = missing_sds.get(sds, 0) + 1
+            missing[_SDS, (sds,)] += 1
 
     for pub in corpus.publications:
         if records:
@@ -399,19 +408,16 @@ def _validate(corpus: Corpus, records: bool) -> ValidationReport:
 
         journal = corpus.journals.get(pub.journal_id)
         if journal is None:
-            missing_journals[pub.journal_id] = missing_journals.get(pub.journal_id, 0) + 1
+            missing[_JOURNAL, (pub.journal_id,)] += 1
         elif pub.year not in journal.impact_factor_by_year:
-            key = (pub.journal_id, pub.year)
-            missing_if[key] = missing_if.get(key, 0) + 1
+            missing[_IMPACT, (pub.journal_id, pub.year)] += 1
 
         pubs_by_org_set[pub.org_ids] = pubs_by_org_set.get(pub.org_ids, 0) + 1
 
         for att in pub.attributions:
             org = corpus.organizations.get(att.university)
             if org is None:
-                missing_universities[att.university] = (
-                    missing_universities.get(att.university, 0) + 1
-                )
+                missing[_UNIVERSITY, (att.university,)] += 1
             elif org.org_class is not OrgClass.UNIV_DOMESTIC:
                 error(
                     f"publications[{pub.pub_id}]",
@@ -425,36 +431,19 @@ def _validate(corpus: Corpus, records: bool) -> ValidationReport:
                     "organization set",
                 )
             if att.sds not in corpus.sectors.entries:
-                missing_sds[att.sds] = missing_sds.get(att.sds, 0) + 1
+                missing[_SDS, (att.sds,)] += 1
             elif (att.university, att.sds) not in roster_pairs:
-                key = (att.university, att.sds)
-                unrostered[key] = unrostered.get(key, 0) + 1
+                missing[_ROSTER, (att.university, att.sds)] += 1
 
     for org_ids, count in pubs_by_org_set.items():
         for oid in org_ids:
             if oid not in corpus.organizations:
-                missing_orgs[oid] = missing_orgs.get(oid, 0) + count
+                missing[_ORG, (oid,)] += count
 
-    for jid, count in sorted(missing_journals.items()):
-        error(f"journals[{jid}]", f"dangling journal_id referenced by {count} publication(s)")
-    for oid, count in sorted(missing_orgs.items()):
-        error(f"organizations[{oid}]", f"dangling org_id referenced by {count} publication(s)")
-    for uid, count in sorted(missing_universities.items()):
-        error(
-            f"organizations[{uid}]",
-            f"dangling university id in {count} attribution(s)",
-        )
-    for sds, count in sorted(missing_sds.items()):
-        error(f"sectors[{sds}]", f"dangling sds referenced by {count} record(s)")
-    for (jid, year), count in sorted(missing_if.items()):
-        error(
-            f"journals[{jid}]",
-            f"missing impact factor for year {year} ({count} publication(s))",
-        )
-    for (univ, sds), count in sorted(unrostered.items()):
-        warning(
-            f"staff[{univ},{sds}]",
-            f"attribution without roster entry ({count} publication(s))",
+    for (ref, key), count in sorted(missing.items()):
+        severity, location, message = _REFERENCES[ref]
+        issues.append(
+            ValidationIssue(severity, location.format(*key), message.format(*key, n=count))
         )
     return ValidationReport(issues=tuple(issues))
 

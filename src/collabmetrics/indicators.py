@@ -160,8 +160,12 @@ def read_indicators_csv(path) -> tuple[list[IndicatorRecord], SectorMap]:
     """Parse a persisted indicators table back into records plus sector map."""
     records: list[IndicatorRecord] = []
     sector_entries: dict[str, str] = {}
+    seen: set[tuple[str, str]] = set()
     for lineno, row in _read_csv(path, INDICATORS_HEADER):
         univ, sds, area = row[0], row[1], row[2]
+        if (univ, sds) in seen:
+            raise CorpusLoadError(path, lineno, f"duplicate row for {univ}/{sds}")
+        seen.add((univ, sds))
         known = sector_entries.setdefault(sds, area)
         if known != area:
             raise CorpusLoadError(

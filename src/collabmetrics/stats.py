@@ -8,6 +8,7 @@ silent zero.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -142,17 +143,7 @@ def quartile_bins(values: Sequence[float]) -> list[int]:
         raise ValueError(f"quartile binning needs at least 4 values, got {n}")
     ordered = sorted(vals)
     cuts = [ordered[math.ceil(k * n / 4) - 1] for k in (1, 2, 3)]
-    bins = []
-    for v in vals:
-        if v <= cuts[0]:
-            bins.append(1)
-        elif v <= cuts[1]:
-            bins.append(2)
-        elif v <= cuts[2]:
-            bins.append(3)
-        else:
-            bins.append(4)
-    return bins
+    return [bisect.bisect_left(cuts, v) + 1 for v in vals]
 
 
 def descriptive(values: Sequence) -> Descriptives:

@@ -69,9 +69,6 @@ class Propensities:
     enterprise: float = 0.05
     foreign: float = 0.30
 
-    def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in CLASS_ORDER}
-
     def check(self, label: str) -> None:
         for name in CLASS_ORDER:
             q = getattr(self, name)
@@ -482,7 +479,7 @@ def generate_corpus(params: SynthParams) -> SynthResult:
     )
     ground_truth = GroundTruth(
         planted_shares={
-            area: params.area_propensity_overrides.get(area, params.collab_propensities).as_dict()
+            area: asdict(params.area_propensity_overrides.get(area, params.collab_propensities))
             for area in areas
         },
         planted_correlations=planted_records,

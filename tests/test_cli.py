@@ -141,6 +141,50 @@ class TestValidateCommand:
         assert "dangling org_id referenced by" in outputs[0]
         assert outputs[0] == outputs[1]
 
+    def test_every_reference_fault_reported_in_order(self, runner, tmp_path):
+        def pub(pub_id, orgs, atts, journal="J1", year=2001):
+            return json.dumps({"id": pub_id, "year": year, "journal": journal, "orgs": orgs,
+                               "attributions": [{"university": u, "sds": s} for u, s in atts]})
+
+        files = {
+            "publications.jsonl": [
+                pub("p1", ["UA"], [("UA", "S1")]),
+                pub("p2", ["UA"], [("UA", "S1")], journal="J9"),
+                pub("p3", ["UA", "GHOST"], [("UA", "S1")]),
+                pub("p4", ["UZ"], [("UZ", "S1")]),
+                pub("p5", ["UA"], [("UA", "S9")]),
+                pub("p6", ["UA"], [("UA", "S1")], journal="J2", year=2003),
+                pub("p7", ["UA", "UB"], [("UA", "S1"), ("UB", "S1")]),
+                pub("p8", ["UA", "D1"], [("D1", "S1")]),
+                pub("p9", ["UA"], [("UB", "S1")]),
+                pub("p10", ["UA", "GHOST"], [("UA", "S1")]),
+            ],
+            "organizations.csv": ["org_id,name,class,country", "UA,A,UNIV_DOMESTIC,IT",
+                                  "UB,B,UNIV_DOMESTIC,IT", "D1,D,DPR_DOMESTIC,IT"],
+            "journals.csv": ["journal_id,year,impact_factor", "J1,2001,2.5", "J2,2001,1.0"],
+            "staff.csv": ["university,sds,year,headcount", "UA,S1,2001,4", "UA,S8,2001,1"],
+            "sectors.csv": ["sds,area", "S1,A1"],
+        }
+        for name, lines in files.items():
+            (tmp_path / name).write_text("\n".join(lines) + "\n")
+        result = runner.invoke(cli, ["validate"] + corpus_args(tmp_path))
+        assert result.exit_code == 1
+        assert result.stdout.splitlines() == [
+            "[error] publications[p8]: attributed university 'D1' has class DPR_DOMESTIC",
+            "[error] publications[p9]: attributed university 'UB' missing from organization set",
+            "[error] journals[J9]: dangling journal_id referenced by 1 publication(s)",
+            "[error] organizations[GHOST]: dangling org_id referenced by 2 publication(s)",
+            "[error] organizations[UZ]: dangling org_id referenced by 1 publication(s)",
+            "[error] organizations[UZ]: dangling university id in 1 attribution(s)",
+            "[error] sectors[S8]: dangling sds referenced by 1 record(s)",
+            "[error] sectors[S9]: dangling sds referenced by 1 record(s)",
+            "[error] journals[J2]: missing impact factor for year 2003 (1 publication(s))",
+            "[warning] staff[D1,S1]: attribution without roster entry (1 publication(s))",
+            "[warning] staff[UB,S1]: attribution without roster entry (2 publication(s))",
+            "[warning] staff[UZ,S1]: attribution without roster entry (1 publication(s))",
+            "9 error(s), 3 warning(s) in 10 publication(s)",
+        ]
+
     def test_bad_period_rejected(self, runner, data_dir):
         for period in ("soon", "2003-2001"):
             result = runner.invoke(
@@ -380,6 +424,25 @@ class TestPipeline:
         assert f"{table}:3: {message}" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,table", [
+        ("aggregate", "indicators.csv"), ("correlate", "aggregates.csv"),
+    ])
+    def test_repeated_stage_row_rejected(self, runner, data_dir, tmp_path, command, table):
+        full = tmp_path / "full"
+        result = runner.invoke(cli, ["all"] + corpus_args(data_dir) + ["--out", str(full)])
+        assert result.exit_code == 0, result.output
+        path = full / table
+        rows = path.read_text().splitlines()
+        path.write_text("\n".join(rows + rows[-1:]) + "\n")
+
+        out = tmp_path / "out"
+        flag = "--" + table.split(".")[0]
+        result = runner.invoke(cli, [command, flag, str(path), "--out", str(out)])
+        assert_clean_failure(result)
+        university, key = rows[-1].split(",")[:2]  # (university, sds) or (university, area)
+        assert f"{path}:{len(rows) + 1}: duplicate row for {university}/{key}" in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [
         "indicators", "aggregate", "correlate", "report", "synth", "all",
     ])
@@ -416,6 +479,27 @@ class TestPipeline:
         line = "excluded U001/A01 (area staff 3 < 5)"
         assert line in staged.stdout.splitlines()
         assert line in result.stdout.splitlines()
+
+    def test_excluded_rows_are_the_area_aggregates(self, runner, tmp_path):
+        from collabmetrics import aggregate as agg
+        from collabmetrics.indicators import compute_indicators
+
+        params = SynthParams(seed=11, n_universities=3, n_areas=1, sds_per_area=1,
+                             staff_overrides={"U001": 3, "U002": 5, "U003": 40})
+        synthetic = generate_corpus(params)
+        corpus = synthetic.corpus
+        cells = agg.normalize_to_sds_mean(compute_indicators(corpus)).cells
+        aggregates = agg.aggregate_area(cells, corpus.sectors)
+        filtered = agg.filter_small_universities(aggregates)
+        assert len(filtered.excluded) == 1 and filtered.excluded[0] is aggregates[0]
+
+        data = tmp_path / "data"
+        write_synthetic(synthetic, data)
+        full = tmp_path / "full"
+        result = runner.invoke(cli, ["all"] + corpus_args(data) + ["--out", str(full)])
+        assert result.exit_code == 0, result.output
+        assert agg.read_aggregates_csv(full / "aggregates.csv").excluded == filtered.excluded
+        assert "excluded U001/A01 (area staff 3 < 5)" in result.stdout.splitlines()
 
     def test_failed_rerun_leaves_no_stale_manifest(self, runner, tmp_path):
         # a sector of this corpus has fewer than 4 publications

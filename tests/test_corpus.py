@@ -1,6 +1,10 @@
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -462,6 +466,31 @@ class TestClassify:
         assert profile.has_other_domestic_university("UB")
         assert profile.has_domestic_enterprise
         assert not profile.has_foreign
+
+    def test_smallest_unknown_organization_named_under_any_hash_seed(self):
+        import collabmetrics
+
+        code = (
+            "from collabmetrics.corpus import *\n"
+            "pub = Publication('p1', 2001, 'J1', frozenset({'UA', 'GHOST1', 'GHOST2', 'GHOST3'}),"
+            " (Attribution('UA', 'S1'),))\n"
+            "ua = Organization('UA', 'University A', OrgClass.UNIV_DOMESTIC, 'IT')\n"
+            "try:\n"
+            "    classify_collaboration(pub, {'UA': ua})\n"
+            "except CorpusError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(collabmetrics.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        for seed in ("0", "1", "2", "3"):
+            proc = subprocess.run(
+                [sys.executable, "-c", code],
+                env=dict(os.environ, PYTHONHASHSEED=seed,
+                         PYTHONPATH=src + (os.pathsep + path if path else "")),
+                capture_output=True, text=True, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout == "publication 'p1': unknown organization 'GHOST1'\n", seed
 
     @given(
         st.sets(st.sampled_from(sorted(REGISTRY)), min_size=1).filter(
