@@ -236,7 +236,7 @@ def correlate(aggregates_path: Path, out_dir: Path):
 @with_options(out_options)
 def synth_command(seed: int, params_path: Path | None, out_dir: Path):
     """Generate a seeded synthetic corpus with ground truth."""
-    from . import synth  # the one command that needs numpy imports it
+    from . import synth  # deferred: its ~20 ms import would slow every other command
 
     result = synth.generate_corpus(synth.load_params(seed, params_path))
     config = {"seed": seed, "params": str(params_path) if params_path else None}

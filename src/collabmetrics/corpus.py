@@ -344,25 +344,26 @@ class ValidationReport:
 def validate_corpus(corpus: Corpus) -> ValidationReport:
     """Check every record, cross-reference and registry invariant of a corpus.
 
-    Dangling references are aggregated one issue per missing id (with a
-    reference count) so one broken registry row yields one error.  A checked
+    Faulty references are aggregated one issue per key (with a reference
+    count) so one broken registry row yields one error.  A checked
     ``load_corpus`` runs the reference checks only.
     """
     return _validate(corpus, records=True)
 
 
 # One row per reference across files, in report order: (severity, location,
-# message).  Both are formatted with the missing key's parts; the message also
+# message).  Both are formatted with the faulty key's parts; the message also
 # with ``n``, the number of records that hold the reference.
 _REFERENCES = (
     ("error", "journals[{0}]", "dangling journal_id referenced by {n} publication(s)"),
     ("error", "organizations[{0}]", "dangling org_id referenced by {n} publication(s)"),
     ("error", "organizations[{0}]", "dangling university id in {n} attribution(s)"),
+    ("error", "organizations[{0}]", "university in {n} attribution(s) has class {1}"),
     ("error", "sectors[{0}]", "dangling sds referenced by {n} record(s)"),
     ("error", "journals[{0}]", "missing impact factor for year {1} ({n} publication(s))"),
     ("warning", "staff[{0},{1}]", "attribution without roster entry ({n} publication(s))"),
 )
-_JOURNAL, _ORG, _UNIVERSITY, _SDS, _IMPACT, _ROSTER = range(len(_REFERENCES))
+_JOURNAL, _ORG, _UNIVERSITY, _CLASS, _SDS, _IMPACT, _ROSTER = range(len(_REFERENCES))
 
 
 def _validate(corpus: Corpus, records: bool) -> ValidationReport:
@@ -391,15 +392,15 @@ def _validate(corpus: Corpus, records: bool) -> ValidationReport:
             for _field, message in _staff_problems(year, headcount, period):
                 error(f"staff[{univ},{sds},{year}]", message)
 
-    # (reference row, missing key) -> number of records holding the reference
-    missing: Counter[tuple[int, tuple]] = Counter()
+    # (reference row, faulty key) -> number of records holding the reference
+    faults: Counter[tuple[int, tuple]] = Counter()
     pubs_by_org_set: dict[frozenset[str], int] = {}
     seen_pub_ids: set[str] = set()
     roster_pairs = corpus.staff.pairs()
 
     for (_u, sds, _y) in corpus.staff.entries:
         if sds not in corpus.sectors.entries:
-            missing[_SDS, (sds,)] += 1
+            faults[_SDS, (sds,)] += 1
 
     for pub in corpus.publications:
         if records:
@@ -408,22 +409,18 @@ def _validate(corpus: Corpus, records: bool) -> ValidationReport:
 
         journal = corpus.journals.get(pub.journal_id)
         if journal is None:
-            missing[_JOURNAL, (pub.journal_id,)] += 1
+            faults[_JOURNAL, (pub.journal_id,)] += 1
         elif pub.year not in journal.impact_factor_by_year:
-            missing[_IMPACT, (pub.journal_id, pub.year)] += 1
+            faults[_IMPACT, (pub.journal_id, pub.year)] += 1
 
         pubs_by_org_set[pub.org_ids] = pubs_by_org_set.get(pub.org_ids, 0) + 1
 
         for att in pub.attributions:
             org = corpus.organizations.get(att.university)
             if org is None:
-                missing[_UNIVERSITY, (att.university,)] += 1
+                faults[_UNIVERSITY, (att.university,)] += 1
             elif org.org_class is not OrgClass.UNIV_DOMESTIC:
-                error(
-                    f"publications[{pub.pub_id}]",
-                    f"attributed university '{att.university}' has class "
-                    f"{org.org_class.value}",
-                )
+                faults[_CLASS, (att.university, org.org_class.value)] += 1
             if att.university not in pub.org_ids:
                 error(
                     f"publications[{pub.pub_id}]",
@@ -431,16 +428,16 @@ def _validate(corpus: Corpus, records: bool) -> ValidationReport:
                     "organization set",
                 )
             if att.sds not in corpus.sectors.entries:
-                missing[_SDS, (att.sds,)] += 1
+                faults[_SDS, (att.sds,)] += 1
             elif (att.university, att.sds) not in roster_pairs:
-                missing[_ROSTER, (att.university, att.sds)] += 1
+                faults[_ROSTER, (att.university, att.sds)] += 1
 
     for org_ids, count in pubs_by_org_set.items():
         for oid in org_ids:
             if oid not in corpus.organizations:
-                missing[_ORG, (oid,)] += count
+                faults[_ORG, (oid,)] += count
 
-    for (ref, key), count in sorted(missing.items()):
+    for (ref, key), count in sorted(faults.items()):
         severity, location, message = _REFERENCES[ref]
         issues.append(
             ValidationIssue(severity, location.format(*key), message.format(*key, n=count))

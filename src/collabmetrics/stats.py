@@ -87,7 +87,8 @@ def associate(x: Sequence, y: Sequence) -> AssociationStats | None:
     sxx, syy, sxy = _moments(pairs)
     if sxx == 0.0 or syy == 0.0:
         return None
-    r = sxy / math.sqrt(sxx * syy)
+    # sxx * syy can underflow to 0 when neither moment is 0
+    r = sxy / (math.sqrt(sxx * syy) or math.sqrt(sxx) * math.sqrt(syy))
     beta = sxy / sxx
     r_squared = (beta * sxy) / syy
     return AssociationStats(r=r, beta=beta, r_squared=r_squared, n=len(pairs))

@@ -2,13 +2,21 @@
 
 The generator builds a full corpus (universities, partner pools,
 journals, staff rosters, publications) from a parameter set and a
-64-bit seed.  Raw random draws are keyed by (seed, entity id) through
-independent PCG64 streams, so enlarging the system leaves existing
-entities' draws untouched.  Each key's stream is built once: the
-productivity and collaboration multipliers are drawn once per
-(university, area) and shared by the area's sectors, and each cell
-(university, sector) draws its years, journals, partner flags and
-partner picks from its own stream.
+seed.  Random draws come from standard-library ``random.Random``
+streams, each seeded from a digest of its key (seed, entity ids), so
+enlarging the system leaves existing entities' draws untouched.  There
+is one stream per journal, per sector (its impact-factor level) and per
+(university, area): the last draws the area's productivity and
+collaboration multipliers, then for each of the area's sectors in
+sorted order the staff headcount and the cell's partner flags, years,
+journals and partner picks.
+
+Every draw goes through ``random()``, the one method whose sequence
+Python promises to repeat for a given seed across versions: normals
+invert ``NormalDist.inv_cdf``, integers scale ``random()``, and a quota
+takes the indices with the smallest ``random()`` keys.  So a seed's
+corpus rests on no library's unpinned method streams, and the package
+needs no numpy.
 
 Collaboration is planted by per-cell quotas: a cell with n
 publications and propensity q gets exactly round(q*n) flagged ones,
@@ -24,11 +32,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import random
+import statistics
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .corpus import (
     Attribution,
@@ -41,6 +49,7 @@ from .corpus import (
     StaffRoster,
     write_corpus,
 )
+from .stats import associate
 
 CLASS_ORDER = ("other_university", "dpr", "enterprise", "foreign")
 PLANTABLE_X = ("CI_share", "FCI", "DCI")
@@ -129,14 +138,26 @@ class SynthResult:
     ground_truth: GroundTruth
 
 
-def _key(part) -> int:
-    digest = hashlib.blake2s(str(part).encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
+def _rng(seed: int, *parts) -> random.Random:
+    """The stream of one key, seeded from a digest of the whole key."""
+    key = json.dumps([seed, *parts]).encode("utf-8")
+    return random.Random(int.from_bytes(hashlib.blake2b(key).digest(), "big"))
 
 
-def _rng(seed: int, *parts) -> np.random.Generator:
-    entropy = [seed & 0xFFFFFFFFFFFFFFFF] + [_key(p) for p in parts]
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+_STANDARD_NORMAL = statistics.NormalDist()
+
+
+def _normal(rng: random.Random) -> float:
+    """A standard normal draw: the inverse CDF of one ``random()`` value."""
+    u = rng.random()
+    while u == 0.0:  # the inverse CDF is undefined at 0
+        u = rng.random()
+    return _STANDARD_NORMAL.inv_cdf(u)
+
+
+def _pick(rng: random.Random, options):
+    """One item of a sequence or range, by scaling one ``random()`` value."""
+    return options[int(rng.random() * len(options))]
 
 
 def _layout(params: SynthParams) -> tuple[list[str], list[str], dict[str, str]]:
@@ -276,34 +297,36 @@ def _from_json(value, kind, key: str):
     return value
 
 
+def _standardized(values: list[float]) -> list[float]:
+    """``values`` centred and scaled to a population standard deviation of 1."""
+    mean = math.fsum(values) / len(values)
+    centred = [v - mean for v in values]
+    std = math.sqrt(math.fsum(c * c for c in centred) / len(values))
+    if std == 0:
+        raise SynthParamsError("degenerate driver draw; change the seed")
+    return [c / std for c in centred]
+
+
 def _planted_drivers(
     params: SynthParams, assoc: PlantedAssociation, universities: list[str]
-) -> tuple[dict[str, float], dict[str, float], float]:
+) -> tuple[dict[str, float], dict[str, float], float | None]:
     """Per-university (collaboration share, productivity multiplier) with an
     exact sample correlation between the underlying drivers."""
-    n = len(universities)
-    raw = np.empty((n, 2))
-    for i, univ in enumerate(universities):
-        raw[i] = _rng(params.seed, "plant", assoc.area, univ).standard_normal(2)
-    x = raw[:, 0] - raw[:, 0].mean()
-    e = raw[:, 1] - raw[:, 1].mean()
-    e = e - (e @ x) / (x @ x) * x
-    if x.std() == 0 or e.std() == 0:
-        raise SynthParamsError("degenerate driver draw; change the seed")
-    xhat = x / x.std()
-    ehat = e / e.std()
-    y = assoc.r * xhat + math.sqrt(1.0 - assoc.r**2) * ehat
+    streams = [_rng(params.seed, "plant", assoc.area, univ) for univ in universities]
+    draws = [(_normal(rng), _normal(rng)) for rng in streams]
+    xhat = _standardized([a for a, _ in draws])
+    e = _standardized([b for _, b in draws])
+    slope = math.fsum(a * b for a, b in zip(e, xhat)) / len(xhat)  # len = xhat's sum of squares
+    ehat = _standardized([a - slope * b for a, b in zip(e, xhat)])
+    y = [assoc.r * a + math.sqrt(1.0 - assoc.r**2) * b for a, b in zip(xhat, ehat)]
     if assoc.noise > 0:
-        y = y + assoc.noise * _rng(params.seed, "plant-noise", assoc.area).standard_normal(n)
+        rng = _rng(params.seed, "plant-noise", assoc.area)
+        y = [v + assoc.noise * _normal(rng) for v in y]
 
-    shares = np.clip(X_CENTER + X_AMPLITUDE * xhat, 0.03, 0.97)
-    multipliers = np.clip(1.0 + Y_AMPLITUDE * y, 0.15, 1.85)
-    achieved = float(np.corrcoef(shares, multipliers)[0, 1])
-    return (
-        dict(zip(universities, shares.tolist())),
-        dict(zip(universities, multipliers.tolist())),
-        achieved,
-    )
+    shares = [min(max(X_CENTER + X_AMPLITUDE * v, 0.03), 0.97) for v in xhat]
+    multipliers = [min(max(1.0 + Y_AMPLITUDE * v, 0.15), 1.85) for v in y]
+    fit = associate(shares, multipliers)  # None if clipping left a side constant
+    return dict(zip(universities, shares)), dict(zip(universities, multipliers)), fit and fit.r
 
 
 def _fallback_class(base: Propensities, n_universities: int) -> str:
@@ -313,12 +336,15 @@ def _fallback_class(base: Propensities, n_universities: int) -> str:
     return max(available, key=lambda c: (getattr(base, c), -CLASS_ORDER.index(c)))
 
 
-def _quota(rng: np.random.Generator, n: int, q: float) -> np.ndarray:
-    """A mask over n publications with round(q*n) of them set at random."""
-    members = np.zeros(n, dtype=bool)
-    k = int(round(q * n))
+def _quota(rng: random.Random, n: int, q: float) -> list[bool]:
+    """A mask over n publications with round(q*n) of them set: the indices
+    with the smallest ``random()`` keys."""
+    members = [False] * n
+    k = round(q * n)
     if k:
-        members[rng.permutation(n)[:k]] = True
+        keys = [rng.random() for _ in range(n)]
+        for i in sorted(range(n), key=keys.__getitem__)[:k]:
+            members[i] = True
     return members
 
 
@@ -327,6 +353,7 @@ def generate_corpus(params: SynthParams) -> SynthResult:
     _check_params(params)
     seed = params.seed
     period = (params.start_year, params.start_year + params.years - 1)
+    years = range(period[0], period[1] + 1)
     universities, areas, sector_entries = _layout(params)
     sectors = sorted(sector_entries)
 
@@ -350,18 +377,15 @@ def generate_corpus(params: SynthParams) -> SynthResult:
     journals: dict[str, Journal] = {}
     journals_by_sds: dict[str, list[str]] = {}
     for sds in sectors:
-        mu = mu0 + params.sector_if_spread * float(
-            _rng(seed, "sector-if", sds).standard_normal()
-        )
+        mu = mu0 + params.sector_if_spread * _normal(_rng(seed, "sector-if", sds))
         ids = [f"{sds}J{j}" for j in range(1, params.n_journals_per_sds + 1)]
         journals_by_sds[sds] = ids
         for jid in ids:
             rng = _rng(seed, "journal", jid)
-            by_year = {}
-            for year in range(period[0], period[1] + 1):
-                value = round(float(np.exp(rng.normal(mu, sigma))), 4)
-                by_year[year] = max(value, 0.0001)
-            journals[jid] = Journal(jid, by_year)
+            journals[jid] = Journal(jid, {
+                year: max(round(math.exp(mu + sigma * _normal(rng)), 4), 0.0001)
+                for year in years
+            })
 
     planted_by_area = {a.area: a for a in params.planted_associations}
     # area -> (association, collaboration share and productivity multiplier by university)
@@ -384,89 +408,66 @@ def generate_corpus(params: SynthParams) -> SynthResult:
         )
 
     no_peers = params.n_universities < 2
-    lo, hi = params.staff_range
+    headcounts = range(params.staff_range[0], params.staff_range[1] + 1)
+    sectors_of = {area: [sds for sds in sectors if sector_entries[sds] == area] for area in areas}
     staff_entries: dict[tuple[str, str, int], int] = {}
     publications: list[Publication] = []
     for u, univ in enumerate(universities):
         pools = {"other_university": universities[:u] + universities[u + 1:], **external_pools}
-        # (publications per staff member, propensity multiplier), shared by an area's sectors
-        multipliers: dict[str, tuple[float, float]] = {}
         for area in areas:
-            if area in planted:
-                prod = planted[area][2][univ]
-            else:
-                prod = float(np.exp(
-                    _rng(seed, "prod", univ, area).normal(0.0, params.productivity_spread)
-                ))
+            rng = _rng(seed, "area", univ, area)
+            assoc, shares, planted_prod = planted.get(area, (None, {}, {}))
+            prod = planted_prod[univ] if assoc else math.exp(
+                params.productivity_spread * _normal(rng))
             collab_mult = 1.0
             if params.collab_variation > 0:
-                collab_mult = float(np.exp(
-                    _rng(seed, "collab", univ, area).normal(0.0, params.collab_variation)
-                ))
-            multipliers[area] = (params.pubs_per_staff_mean * prod, collab_mult)
+                collab_mult = math.exp(params.collab_variation * _normal(rng))
+            pps = params.pubs_per_staff_mean * prod
 
-        for sds in sectors:
-            if univ in params.staff_overrides:
-                head = params.staff_overrides[univ]
-            else:
-                head = int(_rng(seed, "staff", univ, sds).integers(lo, hi + 1))
-            for year in range(period[0], period[1] + 1):
-                staff_entries[(univ, sds, year)] = head
-            area = sector_entries[sds]
-            pps, collab_mult = multipliers[area]
-            n = int(round(head * pps))
-            if n <= 0:
-                continue
+            for sds in sectors_of[area]:
+                head = params.staff_overrides.get(univ)
+                if head is None:
+                    head = _pick(rng, headcounts)
+                for year in years:
+                    staff_entries[(univ, sds, year)] = head
+                n = round(head * pps)
+                if n <= 0:
+                    continue
 
-            rng = _rng(seed, "cell", univ, sds)
-            years = rng.integers(period[0], period[1] + 1, size=n)
-            journal_ids = journals_by_sds[sds]
-            journal_idx = rng.integers(0, len(journal_ids), size=n)
-
-            base = params.sds_propensity_overrides.get(
-                sds, params.area_propensity_overrides.get(area, params.collab_propensities)
-            )
-            assoc, shares, _ = planted.get(area, (None, {}, {}))
-            flags: dict[str, np.ndarray] = {}
-            if assoc is not None and assoc.x_metric == "CI_share":
-                extramural = _quota(rng, n, shares[univ])
-                for name in CLASS_ORDER:
-                    w = getattr(base, name) / X_CENTER
-                    if name == "other_university" and no_peers:
-                        w = 0.0
-                    flags[name] = extramural & (rng.random(n) < min(w, 1.0))
-                uncovered = extramural & ~np.logical_or.reduce(list(flags.values()))
-                if uncovered.any():
-                    flags[_fallback_class(base, params.n_universities)] |= uncovered
-            else:
-                planted_class = assoc and {"FCI": "foreign", "DCI": "enterprise"}[assoc.x_metric]
-                for name in CLASS_ORDER:
-                    if name == planted_class:
-                        q = shares[univ]
-                    elif name == "other_university" and no_peers:
-                        q = 0.0
-                    else:
-                        q = min(getattr(base, name) * collab_mult, 0.97)
-                    flags[name] = _quota(rng, n, q)
-
-            # partner picks, one batched draw per class in CLASS_ORDER
-            picks = [
-                (flags[name].tolist(), pool,
-                 rng.integers(0, max(len(pool), 1), size=n).tolist())
-                for name, pool in pools.items()
-            ]
-            credit = (Attribution(university=univ, sds=sds),)
-            for i, (year, j) in enumerate(zip(years.tolist(), journal_idx.tolist())):
-                partners = [pool[idx[i]] for flag, pool, idx in picks if flag[i]]
-                publications.append(
-                    Publication(
-                        pub_id=f"{univ}-{sds}-{i + 1:04d}",
-                        year=year,
-                        journal_id=journal_ids[j],
-                        org_ids=frozenset([univ, *partners]),
-                        attributions=credit,
-                    )
+                base = params.sds_propensity_overrides.get(
+                    sds, params.area_propensity_overrides.get(area, params.collab_propensities)
                 )
+                flags: dict[str, list[bool]] = {}
+                if assoc is not None and assoc.x_metric == "CI_share":
+                    extramural = _quota(rng, n, shares[univ])
+                    for name in CLASS_ORDER:
+                        w = min(getattr(base, name) / X_CENTER, 1.0)
+                        if name == "other_university" and no_peers:
+                            w = 0.0
+                        flags[name] = [e and rng.random() < w for e in extramural]
+                    fallback = flags[_fallback_class(base, params.n_universities)]
+                    for i, e in enumerate(extramural):
+                        if e and not any(flags[name][i] for name in CLASS_ORDER):
+                            fallback[i] = True
+                else:
+                    planted_class = assoc and dict(FCI="foreign", DCI="enterprise")[assoc.x_metric]
+                    for name in CLASS_ORDER:
+                        if name == planted_class:
+                            q = shares[univ]
+                        elif name == "other_university" and no_peers:
+                            q = 0.0
+                        else:
+                            q = min(getattr(base, name) * collab_mult, 0.97)
+                        flags[name] = _quota(rng, n, q)
+
+                cell_years = [_pick(rng, years) for _ in range(n)]
+                cell_journals = [_pick(rng, journals_by_sds[sds]) for _ in range(n)]
+                credit = (Attribution(university=univ, sds=sds),)
+                for i, (year, journal_id) in enumerate(zip(cell_years, cell_journals)):
+                    partners = [_pick(rng, pool) for name, pool in pools.items() if flags[name][i]]
+                    publications.append(Publication(
+                        pub_id=f"{univ}-{sds}-{i + 1:04d}", year=year, journal_id=journal_id,
+                        org_ids=frozenset([univ, *partners]), attributions=credit))
 
     corpus = Corpus(
         publications=tuple(publications),

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +38,13 @@ def data_dir(tmp_path):
     out = tmp_path / "data"
     write_synthetic(generate_corpus(SynthParams(seed=42, n_universities=8)), out)
     return out
+
+
+# one staff member and one publication per cell: 2 publications per sector
+TWO_PUBLICATION_SECTORS = SynthParams(
+    seed=42, n_universities=2, productivity_spread=0.0, pubs_per_staff_mean=1.0,
+    staff_overrides={"U001": 1, "U002": 1},
+)
 
 
 def corpus_args(data_dir):
@@ -170,12 +178,12 @@ class TestValidateCommand:
         result = runner.invoke(cli, ["validate"] + corpus_args(tmp_path))
         assert result.exit_code == 1
         assert result.stdout.splitlines() == [
-            "[error] publications[p8]: attributed university 'D1' has class DPR_DOMESTIC",
             "[error] publications[p9]: attributed university 'UB' missing from organization set",
             "[error] journals[J9]: dangling journal_id referenced by 1 publication(s)",
             "[error] organizations[GHOST]: dangling org_id referenced by 2 publication(s)",
             "[error] organizations[UZ]: dangling org_id referenced by 1 publication(s)",
             "[error] organizations[UZ]: dangling university id in 1 attribution(s)",
+            "[error] organizations[D1]: university in 1 attribution(s) has class DPR_DOMESTIC",
             "[error] sectors[S8]: dangling sds referenced by 1 record(s)",
             "[error] sectors[S9]: dangling sds referenced by 1 record(s)",
             "[error] journals[J2]: missing impact factor for year 2003 (1 publication(s))",
@@ -183,6 +191,26 @@ class TestValidateCommand:
             "[warning] staff[UB,S1]: attribution without roster entry (2 publication(s))",
             "[warning] staff[UZ,S1]: attribution without roster entry (1 publication(s))",
             "9 error(s), 3 warning(s) in 10 publication(s)",
+        ]
+
+    def test_wrongly_classed_attribution_reported_once_per_organization(self, runner, tmp_path):
+        pubs = [{"id": f"p{i}", "year": 2001, "journal": "J1", "orgs": ["UA", "D1"],
+                 "attributions": [{"university": "D1", "sds": "S1"}]} for i in (1, 2)]
+        files = {
+            "publications.jsonl": [json.dumps(pub) for pub in pubs],
+            "organizations.csv": ["org_id,name,class,country", "UA,A,UNIV_DOMESTIC,IT",
+                                  "D1,D,DPR_DOMESTIC,IT"],
+            "journals.csv": ["journal_id,year,impact_factor", "J1,2001,2.5"],
+            "staff.csv": ["university,sds,year,headcount", "D1,S1,2001,4"],
+            "sectors.csv": ["sds,area", "S1,A1"],
+        }
+        for name, lines in files.items():
+            (tmp_path / name).write_text("\n".join(lines) + "\n")
+        result = runner.invoke(cli, ["validate"] + corpus_args(tmp_path))
+        assert result.exit_code == 1
+        assert result.stdout.splitlines() == [
+            "[error] organizations[D1]: university in 2 attribution(s) has class DPR_DOMESTIC",
+            "1 error(s), 0 warning(s) in 2 publication(s)",
         ]
 
     def test_bad_period_rejected(self, runner, data_dir):
@@ -283,6 +311,30 @@ class TestPipeline:
             result = runner.invoke(cli, ["all"] + corpus_args(data_dir) + ["--out", str(out)])
             assert result.exit_code == 0, result.output
         assert read_tree(first) == read_tree(second)
+
+    @pytest.mark.parametrize("flags", [
+        [], ["--table2-mode", "weighted", "--quartile-scope", "per-sector", "--top", "3"],
+    ], ids=["default", "weighted-per-sector-top3"])
+    def test_all_ignores_input_row_order(self, runner, data_dir, tmp_path, flags):
+        shuffled = tmp_path / "shuffled"
+        shuffled.mkdir()
+        rng = random.Random(7)
+        for source in map(Path, corpus_args(data_dir)[1::2]):
+            lines = source.read_text().splitlines(keepends=True)
+            header = lines[:0] if source.suffix == ".jsonl" else lines[:1]
+            body = lines[len(header):]
+            rng.shuffle(body)
+            assert header + body != lines, source.name
+            (shuffled / source.name).write_text("".join(header + body))
+        runs = []
+        for corpus in (data_dir, shuffled):
+            out = tmp_path / f"out-{corpus.name}"
+            result = runner.invoke(cli, ["all"] + corpus_args(corpus) + ["--out", str(out)] + flags)
+            assert result.exit_code == 0, result.output
+            tree = read_tree(out)
+            del tree["run_manifest.json"]  # it names the inputs and their digests
+            runs.append((tree, result.output.replace(str(out), "OUT")))
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("report_flags", [
         [], ["--table2-mode", "weighted", "--quartile-scope", "per-sector"],
@@ -502,11 +554,9 @@ class TestPipeline:
         assert "excluded U001/A01 (area staff 3 < 5)" in result.stdout.splitlines()
 
     def test_failed_rerun_leaves_no_stale_manifest(self, runner, tmp_path):
-        # a sector of this corpus has fewer than 4 publications
+        # every sector has 2 publications, fewer than per-sector quartiles need
         data = tmp_path / "data"
-        write_synthetic(
-            generate_corpus(SynthParams(seed=42, n_universities=2, staff_range=(2, 5))), data
-        )
+        write_synthetic(generate_corpus(TWO_PUBLICATION_SECTORS), data)
         out = tmp_path / "out"
         result = runner.invoke(cli, ["all"] + corpus_args(data) + ["--out", str(out)])
         assert result.exit_code == 0, result.output
@@ -523,11 +573,9 @@ class TestPipeline:
     def test_gc_paused_for_the_command(self, runner, tmp_path, monkeypatch, case):
         from collabmetrics import indicators
 
-        # a sector of this corpus has fewer than 4 publications
+        # every sector has 2 publications, fewer than per-sector quartiles need
         data = tmp_path / "data"
-        write_synthetic(
-            generate_corpus(SynthParams(seed=42, n_universities=2, staff_range=(2, 5))), data
-        )
+        write_synthetic(generate_corpus(TWO_PUBLICATION_SECTORS), data)
         compute = indicators.compute_indicators
         seen = []
         monkeypatch.setattr(indicators, "compute_indicators",
@@ -583,16 +631,29 @@ class TestPipeline:
         assert calls == {"classify": org_sets, "compute": 1, "impact": credited}
 
 
-def test_cli_import_leaves_numpy_out():
-    """Only ``synth`` needs numpy; importing the CLI must not load it."""
+def numpy_loaded_after(code):
+    """``"True"`` or ``"False"``: whether ``code`` in a fresh interpreter imports numpy."""
     import collabmetrics
 
     src = str(Path(collabmetrics.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, collabmetrics.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", f"import sys\n{code}\nprint('numpy' in sys.modules)"],
         env=dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else "")),
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_cli_import_leaves_numpy_out():
+    """Importing the CLI must not load numpy."""
+    assert numpy_loaded_after("import collabmetrics.cli") == "False"
+
+
+def test_synth_runs_without_numpy():
+    """The generator draws from the standard library alone."""
+    assert numpy_loaded_after(
+        "from collabmetrics.synth import SynthParams, generate_corpus\n"
+        "generate_corpus(SynthParams(seed=1))"
+    ) == "False"

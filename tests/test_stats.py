@@ -28,6 +28,10 @@ class TestPearson:
         assert stats.associate([1, 1, 1], [1, 2, 3]) is None
         assert stats.associate([1, 2, 3], [5, 5, 5]) is None
 
+    def test_tiny_moments(self):
+        # Sxx * Syy underflows to 0 although neither moment is 0
+        assert stats.associate([0, 0, 1e-59], [0, 0, 1e-143]).r == pytest.approx(1.0)
+
     def test_missing_values_dropped_pairwise(self):
         r = stats.associate([1, None, 2, 3, float("nan")], [2, 9, 4, 6, 1]).r
         assert r == pytest.approx(1.0)
