@@ -17,7 +17,9 @@ from . import stats
 from .corpus import CorpusLoadError, SectorMap, _cell, _parse_numbers, _read_csv, _write_csv
 from .indicators import IndicatorRecord
 
-AREA_INDICATORS = ("P", "FP", "QP", "FQP", "QI", "CI", "FCI", "DCI")
+PERFORMANCE_INDICATORS = ("P", "FP", "QP", "FQP", "QI")
+COLLAB_METRICS = ("CI", "FCI", "DCI")
+AREA_INDICATORS = PERFORMANCE_INDICATORS + COLLAB_METRICS
 
 CI_MODES = {"share": "CI_share", "ratio": "CI_ratio"}
 
@@ -175,12 +177,9 @@ def filter_small_universities(
 # ---------------------------------------------------------------------------
 # Persistence (full precision; usable as a stage input)
 
-AGGREGATES_HEADER = [
-    "university", "area", "P", "FP", "QP", "FQP", "QI", "CI", "FCI", "DCI",
-    "staff", "n_sectors", "excluded",
-]
+_NUMBER_KINDS = dict.fromkeys(AREA_INDICATORS) | {"staff": float, "n_sectors": int}
 
-_NUMBER_KINDS = dict.fromkeys(AGGREGATES_HEADER[2:12]) | {"staff": float, "n_sectors": int}
+AGGREGATES_HEADER = ["university", "area", *_NUMBER_KINDS, "excluded"]
 
 
 def write_aggregates_csv(
@@ -205,14 +204,14 @@ def read_aggregates_csv(path) -> FilterResult:
         if (row[0], row[1]) in seen:
             raise CorpusLoadError(path, lineno, f"duplicate row for {row[0]}/{row[1]}")
         seen.add((row[0], row[1]))
-        values = _parse_numbers(path, lineno, _NUMBER_KINDS, row[2:12])
+        values = _parse_numbers(path, lineno, _NUMBER_KINDS, row[2:-1])
         agg = AreaAggregate(row[0], row[1], total_staff=values.pop("staff"), **values)
-        if row[12] == "true":
+        if row[-1] == "true":
             excluded.append(agg)
-        elif row[12] == "false":
+        elif row[-1] == "false":
             kept.append(agg)
         else:
             raise CorpusLoadError(
-                path, lineno, f"column 'excluded': expected true or false, got {row[12]!r}"
+                path, lineno, f"column 'excluded': expected true or false, got {row[-1]!r}"
             )
     return FilterResult(kept=tuple(kept), excluded=tuple(excluded))

@@ -138,7 +138,8 @@ def _load(kw: dict, *, check: bool = True) -> Corpus:
 
 class _Pipeline(click.Group):
     """The command group: each library error ends a command in one ``error:`` line
-    (SynthParamsError is a ValueError; OSError covers an unusable output path).
+    (SynthParamsError is a ValueError; OSError covers an unusable output path;
+    OverflowError a finite stage-input value too large to average or square).
 
     A command runs with the cyclic garbage collector paused: the corpus and
     everything derived from it hold no reference cycles, so a collection
@@ -151,7 +152,7 @@ class _Pipeline(click.Group):
         try:
             return super().invoke(ctx)
         except (CorpusError, ind.IndicatorError, agg.AggregateError, reports.ReportError,
-                ValueError, OSError) as exc:
+                ValueError, OSError, OverflowError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
         finally:

@@ -12,7 +12,7 @@ absorbing spurious zeros.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .corpus import CollabProfile, Corpus, CorpusLoadError, IndicatorError, Publication
 from .corpus import SectorMap, _cell, _parse_numbers, _read_csv, _write_csv
@@ -135,13 +135,9 @@ def compute_indicators(corpus: Corpus) -> list[IndicatorRecord]:
 # ---------------------------------------------------------------------------
 # Persistence (full precision; usable as a stage input)
 
-INDICATORS_HEADER = [
-    "university", "sds", "area", "O", "FO", "SS", "FSS", "QI", "staff",
-    "P", "FP", "QP", "FQP", "CI_ratio", "CI_share", "CI_UNI", "CI_DPR",
-    "FCI", "DCI",
-]
+_VALUE_COLUMNS = [field.name for field in fields(IndicatorRecord)[2:]]  # after the cell key
 
-_VALUE_COLUMNS = INDICATORS_HEADER[3:]
+INDICATORS_HEADER = ["university", "sds", "area", *_VALUE_COLUMNS]
 
 _VALUE_KINDS = dict.fromkeys(_VALUE_COLUMNS) | {
     "O": int, "FO": float, "SS": float, "FSS": float, "staff": float,

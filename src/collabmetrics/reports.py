@@ -10,18 +10,19 @@ concentration indices two decimals).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 from . import stats
-from .aggregate import AreaAggregate
+from .aggregate import COLLAB_METRICS, PERFORMANCE_INDICATORS, AreaAggregate
 from .corpus import Corpus, _write_csv
 from .indicators import IndicatorRecord
 
 QUARTILE_LABELS = ("0-25", "26-50", "51-75", "76-100")  # worst -> best
 COLLAB_COLUMNS = ("intramural", "extramural", "foreign", "enterprise")
-PERFORMANCE_INDICATORS = ("P", "FP", "QP", "FQP", "QI")
-COLLAB_METRICS = ("CI", "FCI", "DCI")
+# AreaProfileRow share -> the IndicatorRecord field its weighted mode averages
+AREA_SHARES = {"CI": "CI_share", "CI_UNI": "CI_UNI", "CI_DPR": "CI_DPR",
+               "FCI": "FCI", "DCI": "DCI"}
 
 
 class ReportError(Exception):
@@ -194,68 +195,47 @@ def build_area_profile(
 
 
 def _area_profile_pooled(corpus: Corpus) -> list[AreaProfileRow]:
-    counters = {
-        area: {"output": 0, "CI": 0, "CI_UNI": 0, "CI_DPR": 0, "FCI": 0, "DCI": 0}
-        for area in corpus.sectors.areas()
-    }
+    # per area: the output, then the count behind each share in AREA_SHARES order;
+    # one increment per column (a loop over a tuple of flags ran about 1.4x as long)
+    tallies = {area: [0] * (1 + len(AREA_SHARES)) for area in corpus.sectors.areas()}
     areas = corpus.sectors.entries  # area_of only for its error on an unmapped sector
     for pub, profile in zip(corpus.publications, corpus.profiles):
         pub_areas = {areas.get(att.sds) or corpus.sectors.area_of(att.sds)
                      for att in pub.attributions}
         for area in pub_areas:
-            c = counters[area]
-            c["output"] += 1
+            t = tallies[area]
+            t[0] += 1
             if profile.is_extramural:
-                c["CI"] += 1
+                t[1] += 1
             if len(profile.university_orgs) >= 2:
-                c["CI_UNI"] += 1
+                t[2] += 1
             if profile.has_dpr:
-                c["CI_DPR"] += 1
+                t[3] += 1
             if profile.has_foreign:
-                c["FCI"] += 1
+                t[4] += 1
             if profile.has_domestic_enterprise:
-                c["DCI"] += 1
-
-    rows = []
-    for area in corpus.sectors.areas():
-        c = counters[area]
-        n = c["output"]
-        share = (lambda k: c[k] / n if n > 0 else None)
-        rows.append(
-            AreaProfileRow(
-                area=area,
-                output=n,
-                CI=share("CI"),
-                CI_UNI=share("CI_UNI"),
-                CI_DPR=share("CI_DPR"),
-                FCI=share("FCI"),
-                DCI=share("DCI"),
-            )
-        )
-    return rows
+                t[5] += 1
+    return [
+        AreaProfileRow(area, n, **{name: count / n if n > 0 else None
+                                   for name, count in zip(AREA_SHARES, counts)})
+        for area, (n, *counts) in tallies.items()
+    ]
 
 
 def _area_profile_weighted(
     corpus: Corpus, records: list[IndicatorRecord]
 ) -> list[AreaProfileRow]:
-    pooled = _area_profile_pooled(corpus)  # output column stays pooled
-    output_by_area = {row.area: row.output for row in pooled}
-
-    metrics = {"CI": "CI_share", "CI_UNI": "CI_UNI", "CI_DPR": "CI_DPR",
-               "FCI": "FCI", "DCI": "DCI"}
-    by_area: dict[str, list[IndicatorRecord]] = {
-        area: [] for area in corpus.sectors.areas()
-    }
+    by_area: dict[str, list[IndicatorRecord]] = {area: [] for area in corpus.sectors.areas()}
     for rec in records:
         by_area[corpus.sectors.area_of(rec.sds)].append(rec)
-    rows = []
-    for area, area_records in by_area.items():
-        values = {
-            name: stats.weighted_mean((getattr(rec, attr), rec.staff) for rec in area_records)
-            for name, attr in metrics.items()
-        }
-        rows.append(AreaProfileRow(area=area, output=output_by_area[area], **values))
-    return rows
+    # area and output stay pooled; each share becomes a staff-weighted cell mean
+    return [
+        replace(row, **{
+            name: stats.weighted_mean((getattr(r, field), r.staff) for r in by_area[row.area])
+            for name, field in AREA_SHARES.items()
+        })
+        for row in _area_profile_pooled(corpus)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -444,43 +424,27 @@ def emit_crosstab(table: CrossTab, path) -> None:
 
 
 def emit_area_profile(rows: list[AreaProfileRow], path) -> None:
-    header = ["area", "output", "CI_pct", "CI_UNI_pct", "CI_DPR_pct", "FCI_pct", "DCI_pct"]
-    _write_csv(
-        path,
-        header,
-        [
-            [r.area, r.output, _fmt_pct(r.CI), _fmt_pct(r.CI_UNI),
-             _fmt_pct(r.CI_DPR), _fmt_pct(r.FCI), _fmt_pct(r.DCI)]
-            for r in rows
-        ],
-    )
+    header = ["area", "output"] + [f"{name}_pct" for name in AREA_SHARES]
+    _write_csv(path, header, (
+        [r.area, r.output] + [_fmt_pct(getattr(r, name)) for name in AREA_SHARES] for r in rows
+    ))
 
 
 def emit_dispersion(rows: list[DispersionRow], path) -> None:
-    header = ["area", "n_sds", "mean_pct", "median_pct", "min_pct", "max_pct",
-              "std_pct", "cv"]
-    _write_csv(
-        path,
-        header,
-        [
-            [r.area, r.n_sds, _fmt_pct(r.summary.mean), _fmt_pct(r.summary.median),
-             _fmt_pct(r.summary.min), _fmt_pct(r.summary.max),
-             _fmt_pct(r.summary.std), _fmt_stat(r.summary.cv)]
-            for r in rows
-        ],
-    )
+    pcts = ("mean", "median", "min", "max", "std")  # Descriptives fields written as percent
+    header = ["area", "n_sds"] + [f"{name}_pct" for name in pcts] + ["cv"]
+    _write_csv(path, header, (
+        [r.area, r.n_sds] + [_fmt_pct(getattr(r.summary, name)) for name in pcts]
+        + [_fmt_stat(r.summary.cv)]
+        for r in rows
+    ))
 
 
 def emit_top_sectors(rows: list[TopSectorRow], metric: str, path) -> None:
     header = ["area", "sds", f"{metric.lower()}_pct", "output", "area_share_pct"]
-    _write_csv(
-        path,
-        header,
-        [
-            [r.area, r.sds, _fmt_pct(r.value), r.output, _fmt_pct(r.area_share)]
-            for r in rows
-        ],
-    )
+    _write_csv(path, header, (
+        [r.area, r.sds, _fmt_pct(r.value), r.output, _fmt_pct(r.area_share)] for r in rows
+    ))
 
 
 def emit_correlation(table: CorrelationTable, path) -> None:

@@ -304,6 +304,30 @@ class TestPipeline:
         for name in PIPELINE_OUTPUTS:
             assert (out / name).exists(), name
 
+    def test_all_writes_the_pinned_headers(self, runner, data_dir, tmp_path):
+        correlation = "area,indicator,n,r,beta,r_squared,note"
+        headers = {
+            "indicators.csv": "university,sds,area,O,FO,SS,FSS,QI,staff,P,FP,QP,FQP,"
+                              "CI_ratio,CI_share,CI_UNI,CI_DPR,FCI,DCI",
+            "aggregates.csv": "university,area,P,FP,QP,FQP,QI,CI,FCI,DCI,staff,n_sectors,"
+                              "excluded",
+            "crosstab.csv": "quartile,intramural,intramural_cidx,extramural,extramural_cidx,"
+                            "foreign,foreign_cidx,enterprise,enterprise_cidx,total",
+            "area_profile.csv": "area,output,CI_pct,CI_UNI_pct,CI_DPR_pct,FCI_pct,DCI_pct",
+            "dispersion.csv": "area,n_sds,mean_pct,median_pct,min_pct,max_pct,std_pct,cv",
+            "top_sectors_fci.csv": "area,sds,fci_pct,output,area_share_pct",
+            "top_sectors_dci.csv": "area,sds,dci_pct,output,area_share_pct",
+            "correlation_ci.csv": correlation,
+            "correlation_fci.csv": correlation,
+            "correlation_dci.csv": correlation,
+        }
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["all"] + corpus_args(data_dir) + ["--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert sorted(p.name for p in out.glob("*.csv")) == sorted(headers)
+        for name, header in headers.items():
+            assert (out / name).read_text().split("\n", 1)[0] == header, name
+
     def test_all_is_byte_deterministic(self, runner, data_dir, tmp_path):
         first = tmp_path / "first"
         second = tmp_path / "second"
@@ -475,6 +499,42 @@ class TestPipeline:
         assert_clean_failure(result)
         assert f"{table}:3: {message}" in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,table,value,n_rows,message", [
+        # squaring the deviation of P from its area mean overflows in the correlation
+        pytest.param("correlate", "aggregates.csv", b"1e200", 1,
+                     "Numerical result out of range", id="correlate-P-1e200"),
+        # the sector mean of P sums two values of 1.7e308
+        pytest.param("aggregate", "indicators.csv", b"1.7e308", 2,
+                     "intermediate overflow in fsum", id="aggregate-P-1.7e308-twice"),
+    ])
+    def test_overflowing_stage_input_fails_cleanly(
+        self, runner, data_dir, tmp_path, command, table, value, n_rows, message
+    ):
+        full = tmp_path / "full"
+        result = runner.invoke(cli, ["all"] + corpus_args(data_dir) + ["--out", str(full)])
+        assert result.exit_code == 0, result.output
+        path = full / table
+        header, *rows = path.read_bytes().splitlines()
+        column = header.split(b",").index(b"P")
+        # rows sharing the key's second part: one sds (indicators) or one area (aggregates)
+        group = rows[0].split(b",")[1]
+        changed = 0
+        for i, row in enumerate(rows):
+            cells = row.split(b",")
+            if changed < n_rows and cells[1] == group and cells[column]:
+                cells[column] = value
+                rows[i] = b",".join(cells)
+                changed += 1
+        assert changed == n_rows
+        path.write_bytes(b"\n".join([header, *rows]) + b"\n")
+
+        out = tmp_path / "out"
+        flag = "--" + table.split(".")[0]
+        result = runner.invoke(cli, [command, flag, str(path), "--out", str(out)])
+        assert_clean_failure(result)
+        assert message in result.output
+        assert not (out / "run_manifest.json").exists()
 
     @pytest.mark.parametrize("command,table", [
         ("aggregate", "indicators.csv"), ("correlate", "aggregates.csv"),
