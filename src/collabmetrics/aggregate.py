@@ -162,8 +162,8 @@ def filter_small_universities(
     university's period-average headcount, which is exactly the staff
     measure the exclusion rule is stated on.
     """
-    if threshold <= 0:
-        raise AggregateError(f"threshold must be positive, got {threshold}")
+    if not 0 < threshold < math.inf:
+        raise AggregateError(f"threshold must be positive and finite, got {threshold}")
     kept = []
     excluded = []
     for agg in aggregates:

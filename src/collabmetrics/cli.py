@@ -20,6 +20,7 @@ import contextlib
 import gc
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -76,6 +77,7 @@ INPUT_FILE = click.Path(exists=True, dir_okay=False, path_type=Path)
 
 # the five corpus files, in load_corpus order; the flag names are manifest keys
 CORPUS_FILES = ("pubs", "orgs", "journals", "staff", "sectors")
+DEFAULT_CONFIG = CorpusConfig()
 
 corpus_options = (
     click.option("--pubs", required=True, type=INPUT_FILE, help="publications.jsonl input"),
@@ -83,9 +85,9 @@ corpus_options = (
     click.option("--journals", required=True, type=INPUT_FILE, help="journals.csv input"),
     click.option("--staff", required=True, type=INPUT_FILE, help="staff.csv input"),
     click.option("--sectors", required=True, type=INPUT_FILE, help="sectors.csv input"),
-    click.option("--home-country", default="IT", show_default=True,
+    click.option("--home-country", default=DEFAULT_CONFIG.home_country, show_default=True,
                  help="ISO country code of the domestic system"),
-    click.option("--period", default="2001-2003", show_default=True,
+    click.option("--period", default="{}-{}".format(*DEFAULT_CONFIG.period), show_default=True,
                  help="survey period, YYYY or YYYY-YYYY"),
 )
 
@@ -95,11 +97,19 @@ out_options = (
                  help="output directory"),
 )
 
+
+def _finite(ctx, param, value: float) -> float:
+    if not math.isfinite(value):  # FloatRange lets NaN through, and infinity above a minimum
+        raise click.BadParameter(f"{value} is not a finite number")
+    return value
+
+
 aggregate_options = (
     click.option("--ci-mode", type=click.Choice(["share", "ratio"]), default="share",
                  show_default=True, help="CI reading fed into normalization"),
     click.option("--threshold", type=click.FloatRange(min=0, min_open=True),
-                 default=5.0, show_default=True, help="minimum period-average area staff"),
+                 default=5.0, show_default=True, callback=_finite,
+                 help="minimum period-average area staff"),
 )
 
 report_options = (

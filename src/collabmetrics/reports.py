@@ -268,22 +268,20 @@ class DispersionRow:
 
 
 def build_dispersion_table(
-    records: list[IndicatorRecord],
-    sectors,
-    metric: str = "CI_share",
+    records: list[IndicatorRecord], sectors
 ) -> tuple[list[DispersionRow], list[str]]:
-    """Descriptive statistics of the sector-level pooled metric per area.
+    """Descriptive statistics of the sector-level pooled CI_share per area.
 
     Returns the rows plus warnings for areas with no sector values
     (those areas are omitted).
     """
-    pooled = _pooled_sds_metric(records, metric)
+    pooled = _pooled_sds_metric(records, "CI_share")
     rows = []
     warnings = []
     for area in sectors.areas():
         values = [pooled[sds][0] for sds in sectors.sds_in_area(area) if sds in pooled]
         if not values:
-            warnings.append(f"area '{area}' has no sectors with defined {metric}")
+            warnings.append(f"area '{area}' has no sectors with defined CI_share")
             continue
         rows.append(
             DispersionRow(area=area, n_sds=len(values), summary=stats.descriptive(values))

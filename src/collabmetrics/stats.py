@@ -100,11 +100,15 @@ def weighted_mean(terms: Iterable[tuple[float | None, float]]) -> float | None:
     ``None`` values are skipped and the weights renormalized over the
     rest; the result is ``None`` when no positive weight remains.  Sums
     are exact (``fsum``), so the order of the terms cannot change it.
+    Raises ``OverflowError`` when a product of value and weight overflows.
     """
     defined = [(v, w) for v, w in terms if v is not None]
     weight_total = math.fsum(w for _v, w in defined)
     if weight_total > 0:
-        return math.fsum(v * w for v, w in defined) / weight_total
+        mean = math.fsum(v * w for v, w in defined) / weight_total
+        if not math.isfinite(mean):
+            raise OverflowError(f"weighted mean out of range: {mean}")
+        return mean
     return None
 
 

@@ -41,6 +41,7 @@ from pathlib import Path
 from .corpus import (
     Attribution,
     Corpus,
+    CorpusConfig,
     Journal,
     Organization,
     OrgClass,
@@ -56,6 +57,7 @@ PLANTABLE_X = ("CI_share", "FCI", "DCI")
 PLANTABLE_Y = ("P", "FP", "QP", "FQP")
 
 FOREIGN_COUNTRIES = ("US", "FR", "DE", "GB", "CH", "JP")
+JOURNALS_PER_SDS = 6
 
 # Driver-to-observable mappings for planted associations
 X_CENTER = 0.5
@@ -106,8 +108,6 @@ class SynthParams:
     n_areas: int = 4
     sds_per_area: int = 3
     years: int = 3
-    start_year: int = 2001
-    home_country: str = "IT"
     staff_range: tuple[int, int] = (6, 30)
     pubs_per_staff_mean: float = 0.9  # publications per staff member per period
     productivity_spread: float = 0.35  # lognormal sigma across universities
@@ -117,10 +117,6 @@ class SynthParams:
     sds_propensity_overrides: dict[str, Propensities] = field(default_factory=dict)
     if_lognormal: tuple[float, float] = (0.0, 0.6)  # (mu, sigma)
     sector_if_spread: float = 0.4
-    n_journals_per_sds: int = 6
-    n_dpr: int = 6
-    n_enterprises: int = 6
-    n_foreign: int = 10
     staff_overrides: dict[str, int] = field(default_factory=dict)
     planted_associations: tuple[PlantedAssociation, ...] = ()
 
@@ -169,19 +165,9 @@ def _layout(params: SynthParams) -> tuple[list[str], list[str], dict[str, str]]:
 
 
 def _check_params(params: SynthParams) -> None:
-    counts = {
-        "n_universities": params.n_universities,
-        "n_areas": params.n_areas,
-        "sds_per_area": params.sds_per_area,
-        "years": params.years,
-        "n_journals_per_sds": params.n_journals_per_sds,
-        "n_dpr": params.n_dpr,
-        "n_enterprises": params.n_enterprises,
-        "n_foreign": params.n_foreign,
-    }
-    for name, value in counts.items():
-        if value < 1:
-            raise SynthParamsError(f"{name} must be at least 1, got {value}")
+    for name in ("n_universities", "n_areas", "sds_per_area", "years"):
+        if getattr(params, name) < 1:
+            raise SynthParamsError(f"{name} must be at least 1, got {getattr(params, name)}")
     for name in ("staff_range", "if_lognormal"):
         if len(getattr(params, name)) != 2:
             raise SynthParamsError(f"{name} must be a pair, got {getattr(params, name)!r}")
@@ -352,25 +338,26 @@ def generate_corpus(params: SynthParams) -> SynthResult:
     """Build a synthetic corpus plus its ground-truth manifest."""
     _check_params(params)
     seed = params.seed
-    period = (params.start_year, params.start_year + params.years - 1)
+    config = CorpusConfig()  # the default home country, and the first year of its period
+    period = (config.period[0], config.period[0] + params.years - 1)
     years = range(period[0], period[1] + 1)
     universities, areas, sector_entries = _layout(params)
     sectors = sorted(sector_entries)
 
     organizations = {
-        univ: Organization(univ, f"University {i}", OrgClass.UNIV_DOMESTIC, params.home_country)
+        univ: Organization(univ, f"University {i}", OrgClass.UNIV_DOMESTIC, config.home_country)
         for i, univ in enumerate(universities, start=1)
     }
     external_pools: dict[str, list[str]] = {}  # the partner classes after other_university
     for name, prefix, size, label, org_class in (
-        ("dpr", "DPR", params.n_dpr, "Research Institution", OrgClass.DPR_DOMESTIC),
-        ("enterprise", "ENT", params.n_enterprises, "Enterprise", OrgClass.ENTERPRISE_DOMESTIC),
-        ("foreign", "FOR", params.n_foreign, "Foreign Organization", OrgClass.FOREIGN),
+        ("dpr", "DPR", 6, "Research Institution", OrgClass.DPR_DOMESTIC),
+        ("enterprise", "ENT", 6, "Enterprise", OrgClass.ENTERPRISE_DOMESTIC),
+        ("foreign", "FOR", 10, "Foreign Organization", OrgClass.FOREIGN),
     ):
         external_pools[name] = [f"{prefix}{i:02d}" for i in range(1, size + 1)]
         for i, oid in enumerate(external_pools[name]):
             country = (FOREIGN_COUNTRIES[i % len(FOREIGN_COUNTRIES)]
-                       if org_class is OrgClass.FOREIGN else params.home_country)
+                       if org_class is OrgClass.FOREIGN else config.home_country)
             organizations[oid] = Organization(oid, f"{label} {i + 1}", org_class, country)
 
     mu0, sigma = params.if_lognormal
@@ -378,7 +365,7 @@ def generate_corpus(params: SynthParams) -> SynthResult:
     journals_by_sds: dict[str, list[str]] = {}
     for sds in sectors:
         mu = mu0 + params.sector_if_spread * _normal(_rng(seed, "sector-if", sds))
-        ids = [f"{sds}J{j}" for j in range(1, params.n_journals_per_sds + 1)]
+        ids = [f"{sds}J{j}" for j in range(1, JOURNALS_PER_SDS + 1)]
         journals_by_sds[sds] = ids
         for jid in ids:
             rng = _rng(seed, "journal", jid)
@@ -475,7 +462,7 @@ def generate_corpus(params: SynthParams) -> SynthResult:
         journals=journals,
         staff=StaffRoster(entries=staff_entries),
         sectors=SectorMap(entries=sector_entries),
-        home_country=params.home_country,
+        home_country=config.home_country,
         period=period,
     )
     ground_truth = GroundTruth(

@@ -209,8 +209,9 @@ class TestExclusion:
             assert agg.total_staff == expected
 
     def test_threshold_must_be_positive(self):
-        with pytest.raises(AggregateError):
-            filter_small_universities([], threshold=0.0)
+        for threshold in (0.0, math.nan, math.inf):  # positive and finite
+            with pytest.raises(AggregateError):
+                filter_small_universities([], threshold=threshold)
 
 
 class TestPersistence:

@@ -284,6 +284,12 @@ class TestSynthCommand:
         pytest.param(json.dumps({"sds_per_area": 2, "sds_propensity_overrides": {"A01S03": {}}})
                      .encode(), "sds_propensity_overrides[A01S03]",
                      id="sds_propensity_overrides-unknown-sector"),
+        # synth generates for the default configuration, with fixed partner pools
+        *(pytest.param(json.dumps({name: value}).encode(), f"unknown key '{name}'",
+                       id=f"{name}-removed")
+          for name, value in (("home_country", "US"), ("start_year", 1999),
+                              ("n_journals_per_sds", 6), ("n_dpr", 6),
+                              ("n_enterprises", 6), ("n_foreign", 10))),
     ])
     def test_invalid_params_exit_nonzero(self, runner, tmp_path, content, name):
         params_file = tmp_path / "params.json"
@@ -432,6 +438,9 @@ class TestPipeline:
         ["all", "--top", "0"],
         ["report", "--top", "0"],
         ["aggregate", "--threshold", "0"],
+        ["all", "--threshold", "nan"],
+        ["aggregate", "--threshold", "nan"],
+        ["aggregate", "--threshold", "inf"],
     ])
     def test_out_of_range_flag_rejected_before_writing(
         self, runner, data_dir, tmp_path, argv
@@ -500,30 +509,33 @@ class TestPipeline:
         assert f"{table}:3: {message}" in result.output
         assert not out.exists()
 
-    @pytest.mark.parametrize("command,table,value,n_rows,message", [
+    @pytest.mark.parametrize("command,table,column,value,n_rows,message", [
         # squaring the deviation of P from its area mean overflows in the correlation
-        pytest.param("correlate", "aggregates.csv", b"1e200", 1,
+        pytest.param("correlate", "aggregates.csv", "P", b"1e200", 1,
                      "Numerical result out of range", id="correlate-P-1e200"),
         # the sector mean of P sums two values of 1.7e308
-        pytest.param("aggregate", "indicators.csv", b"1.7e308", 2,
+        pytest.param("aggregate", "indicators.csv", "P", b"1.7e308", 2,
                      "intermediate overflow in fsum", id="aggregate-P-1.7e308-twice"),
+        # a staff weight of 1.7e308 times a normalized value above 1.06 overflows
+        pytest.param("aggregate", "indicators.csv", "staff", b"1.7e308", 1,
+                     "weighted mean out of range: inf", id="aggregate-staff-1.7e308"),
     ])
     def test_overflowing_stage_input_fails_cleanly(
-        self, runner, data_dir, tmp_path, command, table, value, n_rows, message
+        self, runner, data_dir, tmp_path, command, table, column, value, n_rows, message
     ):
         full = tmp_path / "full"
         result = runner.invoke(cli, ["all"] + corpus_args(data_dir) + ["--out", str(full)])
         assert result.exit_code == 0, result.output
         path = full / table
         header, *rows = path.read_bytes().splitlines()
-        column = header.split(b",").index(b"P")
+        index = header.split(b",").index(column.encode())
         # rows sharing the key's second part: one sds (indicators) or one area (aggregates)
         group = rows[0].split(b",")[1]
         changed = 0
         for i, row in enumerate(rows):
             cells = row.split(b",")
-            if changed < n_rows and cells[1] == group and cells[column]:
-                cells[column] = value
+            if changed < n_rows and cells[1] == group and cells[index]:
+                cells[index] = value
                 rows[i] = b",".join(cells)
                 changed += 1
         assert changed == n_rows
