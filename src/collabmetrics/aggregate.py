@@ -10,6 +10,7 @@ universities below the staff threshold are flagged for exclusion.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -28,7 +29,7 @@ class AggregateError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class NormalizedCell:
     """One (university, sds) cell rescaled to its sector means; the values
     follow ``AREA_INDICATORS`` order."""
@@ -92,6 +93,8 @@ def normalize_to_sds_mean(
     # normalized indicator -> the indicator record field it is computed from
     sources = {name: name for name in AREA_INDICATORS} | {"CI": CI_MODES[ci_mode]}
 
+    source_values = operator.attrgetter(*sources.values())
+
     by_sds: dict[str, list[IndicatorRecord]] = {}
     for rec in records:
         by_sds.setdefault(rec.sds, []).append(rec)
@@ -100,9 +103,11 @@ def normalize_to_sds_mean(
     zero_mean: list[tuple[str, str]] = []
     for sds in sorted(by_sds):
         means[sds] = []
-        for target, source in sources.items():
+        where = f"sector '{sds}'"
+        columns = zip(*map(source_values, by_sds[sds]))
+        for (target, source), column in zip(sources.items(), columns):
             # unit weights: the plain mean of the defined values
-            mean = stats.weighted_mean((getattr(rec, source), 1) for rec in by_sds[sds])
+            mean = _located_mean(where, source, [(v, 1) for v in column])
             if mean == 0.0:
                 mean = None
                 zero_mean.append((sds, target))
@@ -110,10 +115,10 @@ def normalize_to_sds_mean(
 
     cells = []
     for rec in records:
-        normalized = []
-        for source, mean in zip(sources.values(), means[rec.sds]):
-            value = getattr(rec, source)
-            normalized.append(None if value is None or mean is None else value / mean)
+        normalized = [
+            None if value is None or mean is None else value / mean
+            for value, mean in zip(source_values(rec), means[rec.sds])
+        ]
         cells.append(NormalizedCell(rec.university, rec.sds, *normalized, rec.staff))
     return NormalizeResult(cells=tuple(cells), zero_mean=tuple(zero_mean))
 
@@ -127,6 +132,7 @@ def aggregate_area(
     defined (``stats.weighted_mean``); when no positive weight remains
     the aggregate is undefined.
     """
+    normalized_values = operator.attrgetter(*[name + "n" for name in AREA_INDICATORS])
     groups: dict[tuple[str, str], list[NormalizedCell]] = {}
     for cell in cells:
         area = sectors.area_of(cell.sds)
@@ -135,22 +141,31 @@ def aggregate_area(
     aggregates = []
     for (univ, area) in sorted(groups):
         group = groups[(univ, area)]
+        weights = [cell.Add for cell in group]
+        where = f"{univ}/{area}"
+        columns = zip(*map(normalized_values, group))
         values = {
-            indicator: stats.weighted_mean(
-                (getattr(cell, indicator + "n"), cell.Add) for cell in group
-            )
-            for indicator in AREA_INDICATORS
+            indicator: _located_mean(where, indicator, list(zip(column, weights)))
+            for indicator, column in zip(AREA_INDICATORS, columns)
         }
         aggregates.append(
             AreaAggregate(
                 university=univ,
                 area=area,
-                total_staff=math.fsum(cell.Add for cell in group),
+                total_staff=math.fsum(weights),
                 n_sectors=len(group),
                 **values,
             )
         )
     return aggregates
+
+
+def _located_mean(where: str, column: str, terms: list) -> float | None:
+    """``stats.weighted_mean`` of ``terms``; an overflow names where it happened."""
+    try:
+        return stats.weighted_mean(terms)
+    except OverflowError as exc:
+        raise OverflowError(f"{where}, column '{column}': {exc}") from None
 
 
 def filter_small_universities(

@@ -105,7 +105,9 @@ class StaffRoster:
     def period_average(self, university: str, sds: str, period: tuple[int, int]) -> float:
         """Mean yearly headcount over the period; missing years count as 0."""
         years = range(period[0], period[1] + 1)
-        total = sum(self.entries.get((university, sds, y), 0) for y in years)
+        total = 0
+        for year in years:
+            total += self.entries.get((university, sds, year), 0)
         return total / len(years)
 
     def pairs(self) -> set[tuple[str, str]]:
@@ -158,14 +160,15 @@ class Corpus:
         for pub in self.publications:
             if pub.org_ids not in by_org_set:
                 by_org_set[pub.org_ids] = classify_collaboration(pub, self.organizations)
-        return tuple(by_org_set[pub.org_ids] for pub in self.publications)
+        return tuple([by_org_set[pub.org_ids] for pub in self.publications])
 
     def publications_by_sds(self) -> dict[str, list[Publication]]:
         """Publications of each sector (a publication once per sector it
         credits), sectors in order of first appearance."""
         out: dict[str, list[Publication]] = {}
         for pub in self.publications:
-            for sds in sorted(pub.sds_codes()):
+            atts = pub.attributions
+            for sds in (atts[0].sds,) if len(atts) == 1 else sorted(pub.sds_codes()):
                 out.setdefault(sds, []).append(pub)
         return out
 
@@ -227,7 +230,8 @@ class CollabProfile:
     university_orgs: frozenset[str]
 
     def has_other_domestic_university(self, university: str) -> bool:
-        return any(u != university for u in self.university_orgs)
+        # True when the set holds more than the viewpoint university itself
+        return len(self.university_orgs) > (university in self.university_orgs)
 
 
 def classify_collaboration(
@@ -346,7 +350,7 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
 
     Faulty references are aggregated one issue per key (with a reference
     count) so one broken registry row yields one error.  A checked
-    ``load_corpus`` runs the reference checks only.
+    ``load_corpus`` and the ``validate`` command run the reference checks only.
     """
     return _validate(corpus, records=True)
 
@@ -359,11 +363,14 @@ _REFERENCES = (
     ("error", "organizations[{0}]", "dangling org_id referenced by {n} publication(s)"),
     ("error", "organizations[{0}]", "dangling university id in {n} attribution(s)"),
     ("error", "organizations[{0}]", "university in {n} attribution(s) has class {1}"),
+    ("error", "organizations[{0}]", "dangling university id in {n} roster sector(s)"),
+    ("error", "organizations[{0}]", "university in {n} roster sector(s) has class {1}"),
     ("error", "sectors[{0}]", "dangling sds referenced by {n} record(s)"),
     ("error", "journals[{0}]", "missing impact factor for year {1} ({n} publication(s))"),
     ("warning", "staff[{0},{1}]", "attribution without roster entry ({n} publication(s))"),
 )
-_JOURNAL, _ORG, _UNIVERSITY, _CLASS, _SDS, _IMPACT, _ROSTER = range(len(_REFERENCES))
+(_JOURNAL, _ORG, _UNIVERSITY, _CLASS, _STAFF_UNIVERSITY, _STAFF_CLASS, _SDS, _IMPACT,
+ _ROSTER) = range(len(_REFERENCES))
 
 
 def _validate(corpus: Corpus, records: bool) -> ValidationReport:
@@ -395,11 +402,13 @@ def _validate(corpus: Corpus, records: bool) -> ValidationReport:
     # (reference row, faulty key) -> number of records holding the reference
     faults: Counter[tuple[int, tuple]] = Counter()
     pubs_by_org_set: dict[frozenset[str], int] = {}
+    attributions: dict[tuple[str, str], int] = {}  # (university, sds) -> count
     seen_pub_ids: set[str] = set()
     roster_pairs = corpus.staff.pairs()
+    organizations, sectors = corpus.organizations, corpus.sectors.entries
 
     for (_u, sds, _y) in corpus.staff.entries:
-        if sds not in corpus.sectors.entries:
+        if sds not in sectors:
             faults[_SDS, (sds,)] += 1
 
     for pub in corpus.publications:
@@ -416,25 +425,36 @@ def _validate(corpus: Corpus, records: bool) -> ValidationReport:
         pubs_by_org_set[pub.org_ids] = pubs_by_org_set.get(pub.org_ids, 0) + 1
 
         for att in pub.attributions:
-            org = corpus.organizations.get(att.university)
-            if org is None:
-                faults[_UNIVERSITY, (att.university,)] += 1
-            elif org.org_class is not OrgClass.UNIV_DOMESTIC:
-                faults[_CLASS, (att.university, org.org_class.value)] += 1
+            key = (att.university, att.sds)
+            attributions[key] = attributions.get(key, 0) + 1
             if att.university not in pub.org_ids:
                 error(
                     f"publications[{pub.pub_id}]",
                     f"attributed university '{att.university}' missing from "
                     "organization set",
                 )
-            if att.sds not in corpus.sectors.entries:
-                faults[_SDS, (att.sds,)] += 1
-            elif (att.university, att.sds) not in roster_pairs:
-                faults[_ROSTER, (att.university, att.sds)] += 1
+
+    attributed: Counter[str] = Counter()  # university -> attributions
+    for (univ, sds), count in attributions.items():
+        attributed[univ] += count
+        if sds not in sectors:
+            faults[_SDS, (sds,)] += count
+        elif (univ, sds) not in roster_pairs:
+            faults[_ROSTER, (univ, sds)] += count
+    # each university is reported once: by its attributions, else by its roster sectors
+    rostered = Counter(univ for univ, _sds in roster_pairs if univ not in attributed)
+    for (dangling, misclassed), counts in (((_UNIVERSITY, _CLASS), attributed),
+                                           ((_STAFF_UNIVERSITY, _STAFF_CLASS), rostered)):
+        for univ, count in counts.items():
+            org = organizations.get(univ)
+            if org is None:
+                faults[dangling, (univ,)] += count
+            elif org.org_class is not OrgClass.UNIV_DOMESTIC:
+                faults[misclassed, (univ, org.org_class.value)] += count
 
     for org_ids, count in pubs_by_org_set.items():
         for oid in org_ids:
-            if oid not in corpus.organizations:
+            if oid not in organizations:
                 faults[_ORG, (oid,)] += count
 
     for (ref, key), count in sorted(faults.items()):
@@ -529,9 +549,9 @@ def _parse_numbers(path, lineno: int, kinds: Mapping[str, type | None], cells) -
             value = (kind or float)(cell)
         except ValueError:
             value = math.nan
-        if not math.isfinite(value):  # unparsable, nan or inf
-            raise CorpusLoadError(path, lineno, f"column '{name}': not a number: {cell!r}")
-        if value < 0:
+        if not 0 <= value < math.inf:
+            if not math.isfinite(value):  # unparsable, nan or inf
+                raise CorpusLoadError(path, lineno, f"column '{name}': not a number: {cell!r}")
             raise CorpusLoadError(path, lineno, f"column '{name}': negative number: {cell!r}")
         values[name] = value
     return values
@@ -542,6 +562,9 @@ def _raise_first(path, lineno: int, problems: Problems) -> None:
     if problems:
         field, message = problems[0]
         raise CorpusLoadError(path, lineno, message, field)
+
+
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 def load_organizations(path, home_country: str) -> dict[str, Organization]:
@@ -618,51 +641,64 @@ def load_publications(path, period: tuple[int, int]) -> tuple[Publication, ...]:
     seen_ids: set[str] = set()
     shared: dict[tuple[str, str], Attribution] = {}
     org_sets: dict[frozenset[str], frozenset[str]] = {}
+    org_lists: dict[tuple, frozenset[str]] = {}  # a checked org list -> its shared set
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(_utf8_lines(path, fh), start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # also too deep, or too many digits
-                message = getattr(exc, "msg", exc)  # a JSONDecodeError's message has no position
-                raise CorpusLoadError(path, lineno, f"invalid JSON: {message}") from None
-            if not isinstance(obj, dict):
+                obj, end = _raw_decode(line)
+            except (ValueError, RecursionError):
+                end = 0
+            if end < len(line):
+                # json.loads' own error: raw_decode neither rejects a leading BOM
+                # nor looks past the first value
+                try:
+                    obj = json.loads(line)
+                except (ValueError, RecursionError) as exc:  # also too deep, or too many digits
+                    message = getattr(exc, "msg", exc)  # a JSONDecodeError's, with no position
+                    raise CorpusLoadError(path, lineno, f"invalid JSON: {message}") from None
+            # the decoder builds exact dicts, lists, strs and ints, so type() tests
+            # agree with isinstance (a bool is not an int here)
+            if type(obj) is not dict:
                 raise CorpusLoadError(path, lineno, "expected a JSON object")
-            for key in PUBLICATION_FIELDS:
-                if key not in obj:
-                    raise CorpusLoadError(path, lineno, "missing field", key)
+            try:
+                pub_id, year, journal = obj["id"], obj["year"], obj["journal"]
+                orgs, raw_atts = obj["orgs"], obj["attributions"]
+            except KeyError:
+                missing = next(key for key in PUBLICATION_FIELDS if key not in obj)
+                raise CorpusLoadError(path, lineno, "missing field", missing) from None
 
-            pub_id = obj["id"]
-            if not isinstance(pub_id, str) or not pub_id:
+            if type(pub_id) is not str or not pub_id:
                 raise CorpusLoadError(path, lineno, "must be a non-empty string", "id")
-
-            year = obj["year"]
-            if isinstance(year, bool) or not isinstance(year, int):
+            if type(year) is not int:
                 raise CorpusLoadError(path, lineno, "must be an integer", "year")
-
-            journal = obj["journal"]
-            if not isinstance(journal, str) or not journal:
+            if type(journal) is not str or not journal:
                 raise CorpusLoadError(path, lineno, "must be a non-empty string", "journal")
 
-            orgs = obj["orgs"]
-            if not isinstance(orgs, list) or not all(isinstance(o, str) for o in orgs):
+            if type(orgs) is not list:
                 raise CorpusLoadError(path, lineno, "must be a list of strings", "orgs")
-            org_ids = frozenset(orgs)
-            if len(org_ids) != len(orgs):
-                raise CorpusLoadError(path, lineno, "duplicate organization ids", "orgs")
-            org_ids = org_sets.setdefault(org_ids, org_ids)
+            try:
+                org_ids = org_lists.get(tuple(orgs))
+            except TypeError:  # an unhashable element
+                org_ids = None
+            if org_ids is None:
+                if not all(type(o) is str for o in orgs):
+                    raise CorpusLoadError(path, lineno, "must be a list of strings", "orgs")
+                org_ids = frozenset(orgs)
+                if len(org_ids) != len(orgs):
+                    raise CorpusLoadError(path, lineno, "duplicate organization ids", "orgs")
+                org_ids = org_lists[tuple(orgs)] = org_sets.setdefault(org_ids, org_ids)
 
-            raw_atts = obj["attributions"]
-            if not isinstance(raw_atts, list):
+            if type(raw_atts) is not list:
                 raise CorpusLoadError(path, lineno, "must be a list", "attributions")
             attributions = []
             for raw in raw_atts:
                 if (
-                    not isinstance(raw, dict)
-                    or not isinstance(raw.get("university"), str)
-                    or not isinstance(raw.get("sds"), str)
+                    type(raw) is not dict
+                    or type(university := raw.get("university")) is not str
+                    or type(sds := raw.get("sds")) is not str
                 ):
                     raise CorpusLoadError(
                         path,
@@ -670,18 +706,12 @@ def load_publications(path, period: tuple[int, int]) -> tuple[Publication, ...]:
                         "each attribution needs string fields 'university' and 'sds'",
                         "attributions",
                     )
-                key = (raw["university"], raw["sds"])
-                if key not in shared:
-                    shared[key] = Attribution(*key)
-                attributions.append(shared[key])
+                att = shared.get((university, sds))
+                if att is None:
+                    att = shared[university, sds] = Attribution(university, sds)
+                attributions.append(att)
 
-            pub = Publication(
-                pub_id=pub_id,
-                year=year,
-                journal_id=journal,
-                org_ids=org_ids,
-                attributions=tuple(attributions),
-            )
+            pub = Publication(pub_id, year, journal, org_ids, tuple(attributions))
             _raise_first(path, lineno, _publication_problems(pub, period, seen_ids))
             pubs.append(pub)
     return tuple(pubs)

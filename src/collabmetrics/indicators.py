@@ -18,7 +18,7 @@ from .corpus import CollabProfile, Corpus, CorpusLoadError, IndicatorError, Publ
 from .corpus import SectorMap, _cell, _parse_numbers, _read_csv, _write_csv
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IndicatorRecord:
     """All survey-period indicator values of one (university, sds) cell."""
 
@@ -72,30 +72,15 @@ def compute_indicators(corpus: Corpus) -> list[IndicatorRecord]:
         nif = nif_by_sds.get(sds, {})
 
         output = len(pubs)
-        fo_terms = []
-        ss_terms = []
-        fss_terms = []
-        n_extramural = 0
-        n_other_univ = 0
-        n_dpr = 0
-        n_foreign = 0
-        n_enterprise = 0
-        for pub, profile in pubs:
-            frac = fractional_contribution(pub)
-            value = nif[(pub.journal_id, pub.year)]
-            fo_terms.append(frac)
-            ss_terms.append(value)
-            fss_terms.append(value * frac)
-            if profile.is_extramural:
-                n_extramural += 1
-            if profile.has_other_domestic_university(univ):
-                n_other_univ += 1
-            if profile.has_dpr:
-                n_dpr += 1
-            if profile.has_foreign:
-                n_foreign += 1
-            if profile.has_domestic_enterprise:
-                n_enterprise += 1
+        fo_terms = [fractional_contribution(pub) for pub, _profile in pubs]
+        ss_terms = [nif[(pub.journal_id, pub.year)] for pub, _profile in pubs]
+        fss_terms = [value * frac for value, frac in zip(ss_terms, fo_terms)]
+        profiles = [profile for _pub, profile in pubs]
+        n_extramural = sum([p.is_extramural for p in profiles])
+        n_other_univ = sum([p.has_other_domestic_university(univ) for p in profiles])
+        n_dpr = sum([p.has_dpr for p in profiles])
+        n_foreign = sum([p.has_foreign for p in profiles])
+        n_enterprise = sum([p.has_domestic_enterprise for p in profiles])
 
         # exact sums: records are identical under publication reordering
         fo = math.fsum(fo_terms)

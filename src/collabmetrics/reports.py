@@ -127,14 +127,17 @@ def build_crosstab(corpus: Corpus, quartile_scope: str = "global") -> CrossTab:
     if quartile_scope == "global":
         values = []
         for pub in pubs:
-            # fsum is exact, so the set's iteration order cannot change the mean
-            codes = pub.sds_codes()
             key = (pub.journal_id, pub.year)
-            values.append(math.fsum(nif_by_sds[s][key] for s in codes) / len(codes))
+            atts = pub.attributions
+            if len(atts) == 1:  # the mean of one value is the value
+                values.append(nif_by_sds[atts[0].sds][key])
+            else:
+                # fsum is exact, so the set's iteration order cannot change the mean
+                codes = pub.sds_codes()
+                values.append(math.fsum([nif_by_sds[s][key] for s in codes]) / len(codes))
         bins = stats.quartile_bins(values)
-        bin_of = dict(zip((p.pub_id for p in pubs), bins))
     else:
-        bin_of = {}
+        first_sector_bins = {}  # sds -> bins of the publications it credits first
         for sds, sds_pubs in corpus.publications_by_sds().items():
             nif = nif_by_sds[sds]
             sector_values = [nif[(p.journal_id, p.year)] for p in sds_pubs]
@@ -144,21 +147,23 @@ def build_crosstab(corpus: Corpus, quartile_scope: str = "global") -> CrossTab:
                     "per-sector quartiles need at least 4"
                 )
             sector_bins = stats.quartile_bins(sector_values)
-            for pub, b in zip(sds_pubs, sector_bins):
-                if pub.attributions[0].sds == sds:
-                    bin_of[pub.pub_id] = b
+            first_sector_bins[sds] = iter([
+                b for pub, b in zip(sds_pubs, sector_bins) if pub.attributions[0].sds == sds
+            ])
+        # each sector lists its publications in input order
+        bins = [next(first_sector_bins[pub.attributions[0].sds]) for pub in pubs]
 
     matrix = [[0, 0, 0, 0] for _ in QUARTILE_LABELS]
-    for pub, profile in zip(pubs, corpus.profiles):
-        row = bin_of[pub.pub_id] - 1
+    for b, profile in zip(bins, corpus.profiles):
+        row = matrix[b - 1]
         if not profile.is_extramural:
-            matrix[row][0] += 1
+            row[0] += 1
             continue
-        matrix[row][1] += 1
+        row[1] += 1
         if profile.has_foreign:
-            matrix[row][2] += 1
+            row[2] += 1
         if profile.has_domestic_enterprise:
-            matrix[row][3] += 1
+            row[3] += 1
     return CrossTab.from_counts(matrix)
 
 
@@ -200,8 +205,11 @@ def _area_profile_pooled(corpus: Corpus) -> list[AreaProfileRow]:
     tallies = {area: [0] * (1 + len(AREA_SHARES)) for area in corpus.sectors.areas()}
     areas = corpus.sectors.entries  # area_of only for its error on an unmapped sector
     for pub, profile in zip(corpus.publications, corpus.profiles):
-        pub_areas = {areas.get(att.sds) or corpus.sectors.area_of(att.sds)
-                     for att in pub.attributions}
+        atts = pub.attributions
+        if len(atts) == 1:
+            pub_areas = (areas.get(atts[0].sds) or corpus.sectors.area_of(atts[0].sds),)
+        else:
+            pub_areas = {areas.get(att.sds) or corpus.sectors.area_of(att.sds) for att in atts}
         for area in pub_areas:
             t = tallies[area]
             t[0] += 1

@@ -103,9 +103,9 @@ def weighted_mean(terms: Iterable[tuple[float | None, float]]) -> float | None:
     Raises ``OverflowError`` when a product of value and weight overflows.
     """
     defined = [(v, w) for v, w in terms if v is not None]
-    weight_total = math.fsum(w for _v, w in defined)
+    weight_total = math.fsum([w for _v, w in defined])
     if weight_total > 0:
-        mean = math.fsum(v * w for v, w in defined) / weight_total
+        mean = math.fsum([v * w for v, w in defined]) / weight_total
         if not math.isfinite(mean):
             raise OverflowError(f"weighted mean out of range: {mean}")
         return mean

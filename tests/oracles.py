@@ -7,6 +7,7 @@ logic), so agreement with the library is a real check.
 
 from __future__ import annotations
 
+import math
 import random
 
 from collabmetrics.corpus import (
@@ -167,3 +168,54 @@ def close_or_both_none(a, b, tol: float = 1e-12) -> bool:
     if a is None or b is None:
         return a is None and b is None
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+
+def naive_crosstab_oracle(corpus: Corpus, quartile_scope: str) -> list[list[int]] | None:
+    """Cross-tab counts (intramural, extramural, foreign, enterprise) per
+    quality quartile, worst first, by plain loops; ``None`` when a per-sector
+    quartile split has fewer than 4 publications."""
+
+    def raw_if(pub):
+        return corpus.journals[pub.journal_id].impact_factor_by_year[pub.year]
+
+    sector_pubs: dict[str, list[Publication]] = {}
+    for pub in corpus.publications:
+        for sds in sorted({a.sds for a in pub.attributions}):
+            sector_pubs.setdefault(sds, []).append(pub)
+    sector_mean = {s: math.fsum(raw_if(p) for p in ps) / len(ps) for s, ps in sector_pubs.items()}
+
+    def quartiles(values):
+        ordered = sorted(values)
+        n = len(ordered)
+        cuts = [ordered[math.ceil(k * n / 4) - 1] for k in (1, 2, 3)]
+        # a value tied with a cut goes to the lower bin
+        return [1 + sum(1 for cut in cuts if cut < v) for v in values]
+
+    bin_of: dict[str, int] = {}
+    if quartile_scope == "global":
+        values = []
+        for pub in corpus.publications:
+            codes = {a.sds for a in pub.attributions}
+            values.append(math.fsum(raw_if(pub) / sector_mean[s] for s in codes) / len(codes))
+        for pub, b in zip(corpus.publications, quartiles(values)):
+            bin_of[pub.pub_id] = b
+    else:
+        for sds, pubs in sector_pubs.items():
+            if len(pubs) < 4:
+                return None
+            bins = quartiles([raw_if(p) / sector_mean[sds] for p in pubs])
+            for pub, b in zip(pubs, bins):
+                if pub.attributions[0].sds == sds:
+                    bin_of[pub.pub_id] = b
+
+    counts = [[0, 0, 0, 0] for _ in range(4)]
+    for pub in corpus.publications:
+        classes = {corpus.organizations[oid].org_class for oid in pub.org_ids}
+        row = counts[bin_of[pub.pub_id] - 1]
+        if len(pub.org_ids) < 2:
+            row[0] += 1
+        else:
+            row[1] += 1
+            row[2] += OrgClass.FOREIGN in classes
+            row[3] += OrgClass.ENTERPRISE_DOMESTIC in classes
+    return counts

@@ -87,6 +87,26 @@ class TestValidateCommand:
         assert "dangling journal_id" in result.output
         assert victim in result.output
 
+    def test_roster_university_not_a_domestic_university_is_an_error(
+        self, runner, data_dir, tmp_path
+    ):
+        with open(data_dir / "staff.csv", "a", encoding="utf-8") as fh:
+            fh.write("U9X9,A01S01,2001,40\nDPR01,A01S01,2003,40\nDPR01,A01S02,2003,1\n")
+        result = runner.invoke(cli, ["validate"] + corpus_args(data_dir))
+        assert result.exit_code == 1
+        assert result.stdout.splitlines()[:2] == [
+            "[error] organizations[U9X9]: dangling university id in 1 roster sector(s)",
+            "[error] organizations[DPR01]: university in 2 roster sector(s) has class "
+            "DPR_DOMESTIC",
+        ]
+        assert result.stdout.splitlines()[-1].startswith("2 error(s), 0 warning(s)")
+
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["all"] + corpus_args(data_dir) + ["--out", str(out)])
+        assert_clean_failure(result)
+        assert "organizations[U9X9]: dangling university id" in result.output
+        assert not out.exists()
+
     def test_malformed_file_reports_location(self, runner, data_dir):
         (data_dir / "publications.jsonl").write_text("{broken\n")
         result = runner.invoke(cli, ["validate"] + corpus_args(data_dir))
@@ -515,10 +535,12 @@ class TestPipeline:
                      "Numerical result out of range", id="correlate-P-1e200"),
         # the sector mean of P sums two values of 1.7e308
         pytest.param("aggregate", "indicators.csv", "P", b"1.7e308", 2,
-                     "intermediate overflow in fsum", id="aggregate-P-1.7e308-twice"),
+                     "sector '{sds}', column 'P': intermediate overflow in fsum",
+                     id="aggregate-P-1.7e308-twice"),
         # a staff weight of 1.7e308 times a normalized value above 1.06 overflows
         pytest.param("aggregate", "indicators.csv", "staff", b"1.7e308", 1,
-                     "weighted mean out of range: inf", id="aggregate-staff-1.7e308"),
+                     "{university}/{area}, column 'QI': weighted mean out of range: inf",
+                     id="aggregate-staff-1.7e308"),
     ])
     def test_overflowing_stage_input_fails_cleanly(
         self, runner, data_dir, tmp_path, command, table, column, value, n_rows, message
@@ -545,7 +567,9 @@ class TestPipeline:
         flag = "--" + table.split(".")[0]
         result = runner.invoke(cli, [command, flag, str(path), "--out", str(out)])
         assert_clean_failure(result)
-        assert message in result.output
+        # the location named is that of the first data row, the first one changed
+        first = dict(zip(header.decode().split(","), rows[0].decode().split(",")))
+        assert message.format(**first) in result.output
         assert not (out / "run_manifest.json").exists()
 
     @pytest.mark.parametrize("command,table", [

@@ -424,6 +424,42 @@ def test_loader_and_validator_report_an_invariant_alike(tmp_path, key, content, 
     assert str(err)[len(prefix):] in messages
 
 
+def _json_error(line: str) -> str:
+    """json.loads' own message for an undecodable line, on this interpreter."""
+    with pytest.raises(json.JSONDecodeError) as caught:
+        json.loads(line)
+    return f"invalid JSON: {caught.value.msg}"
+
+
+# each malformed second line (after a valid first one), and its load error
+MALFORMED_LINES = {
+    "bom": ("\ufeff" + json.dumps(PUB_LINE), None),  # None: json.loads' own message
+    "trailing-data": (json.dumps(PUB_LINE) + " {}", None),
+    "not-an-object": ("[1, 2]", "expected a JSON object"),
+    "boolean-year": (json.dumps({**PUB_LINE, "year": True}), "field 'year': must be an integer"),
+    "list-in-orgs": (json.dumps({**PUB_LINE, "orgs": ["UA", ["UB"]]}),
+                     "field 'orgs': must be a list of strings"),
+    "dict-in-orgs": (json.dumps({**PUB_LINE, "orgs": ["UA", {"UB": 1}]}),
+                     "field 'orgs': must be a list of strings"),
+    "duplicate-orgs": (json.dumps({**PUB_LINE, "orgs": ["UA", "UA"]}),
+                       "field 'orgs': duplicate organization ids"),
+    "attribution-not-an-object": (
+        json.dumps({**PUB_LINE, "attributions": [["UA", "S1"]]}),
+        "field 'attributions': each attribution needs string fields 'university' and 'sds'",
+    ),
+}
+
+
+@pytest.mark.parametrize("line,message", MALFORMED_LINES.values(), ids=MALFORMED_LINES.keys())
+def test_malformed_publication_line_reported(tmp_path, line, message):
+    paths = write_minimal_files(tmp_path)
+    paths["pubs"].write_text(json.dumps({**PUB_LINE, "id": "p0"}) + "\n" + line + "\n",
+                             encoding="utf-8")
+    with pytest.raises(CorpusLoadError) as caught:
+        load_from(paths, check=False)
+    assert str(caught.value) == f"{paths['pubs']}:2: {message or _json_error(line)}"
+
+
 def make_pub(org_ids, attributions=(("UA", "S1"),)):
     return Publication(
         pub_id="p",

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -21,6 +22,7 @@ from collabmetrics.corpus import (
 )
 from collabmetrics.indicators import compute_indicators
 from collabmetrics.reports import (
+    COLLAB_COLUMNS,
     CrossTab,
     ReportError,
     build_area_profile,
@@ -37,6 +39,8 @@ from collabmetrics.synth import (
     SynthParams,
     generate_corpus,
 )
+
+from oracles import make_random_corpus, naive_crosstab_oracle
 
 # Published cross-tab: (intramural, extramural, foreign, enterprise) per
 # quality quartile, with the concentration indices printed alongside.
@@ -144,6 +148,27 @@ class TestBuildCrossTab:
     def test_unknown_scope_rejected(self):
         with pytest.raises(ReportError):
             build_crosstab(intramural_corpus(), quartile_scope="weekly")
+
+    def test_counts_match_brute_force_oracle(self):
+        rng = random.Random(11)
+        compared = {"global": 0, "per-sector": 0}
+        multi_sector = 0
+        for _ in range(80):
+            corpus = make_random_corpus(rng, max_pubs=80)
+            if len(corpus.publications) < 4:
+                continue
+            multi_sector += sum(len(p.sds_codes()) > 1 for p in corpus.publications)
+            for scope in compared:
+                expected = naive_crosstab_oracle(corpus, scope)
+                if expected is None:
+                    with pytest.raises(ReportError, match="per-sector quartiles need at least 4"):
+                        build_crosstab(corpus, quartile_scope=scope)
+                    continue
+                table = build_crosstab(corpus, quartile_scope=scope)
+                assert [[table.counts[(label, col)] for col in COLLAB_COLUMNS]
+                        for label in table.rows] == expected
+                compared[scope] += 1
+        assert min(compared.values()) >= 20 and multi_sector > 0, (compared, multi_sector)
 
 
 ORGS = {
