@@ -197,17 +197,15 @@ _NUMBER_KINDS = dict.fromkeys(AREA_INDICATORS) | {"staff": float, "n_sectors": i
 AGGREGATES_HEADER = ["university", "area", *_NUMBER_KINDS, "excluded"]
 
 
-def write_aggregates_csv(
-    aggregates: Iterable[AreaAggregate], excluded: Iterable[AreaAggregate], path
-) -> None:
-    flagged = {(e.university, e.area) for e in excluded}
-    rows = sorted(aggregates, key=lambda a: (a.university, a.area))
+def write_aggregates_csv(result: FilterResult, path) -> None:
+    """The kept and excluded rows, sorted by (university, area)."""
+    rows = [(agg, "false") for agg in result.kept] + [(agg, "true") for agg in result.excluded]
+    rows.sort(key=lambda row: (row[0].university, row[0].area))
     _write_csv(path, AGGREGATES_HEADER, (
         [agg.university, agg.area]
         + [_cell(getattr(agg, name)) for name in AREA_INDICATORS]
-        + [repr(agg.total_staff), agg.n_sectors,
-           "true" if (agg.university, agg.area) in flagged else "false"]
-        for agg in rows
+        + [repr(agg.total_staff), agg.n_sectors, excluded]
+        for agg, excluded in rows
     ))
 
 

@@ -29,7 +29,7 @@ import click
 from . import aggregate as agg
 from . import indicators as ind
 from . import reports
-from .corpus import Corpus, CorpusConfig, CorpusError, _validate, load_corpus
+from .corpus import CORPUS_FILENAMES, Corpus, CorpusConfig, CorpusError, _validate, load_corpus
 
 INDICATORS_FILENAME = "indicators.csv"
 AGGREGATES_FILENAME = "aggregates.csv"
@@ -75,16 +75,14 @@ def _writing(out_dir: Path, command: str, config: dict, inputs: list[Path]):
 
 INPUT_FILE = click.Path(exists=True, dir_okay=False, path_type=Path)
 
-# the five corpus files, in load_corpus order; the flag names are manifest keys
+# the flag of each corpus file, in load_corpus and CORPUS_FILENAMES order; the flag
+# names are manifest keys
 CORPUS_FILES = ("pubs", "orgs", "journals", "staff", "sectors")
 DEFAULT_CONFIG = CorpusConfig()
 
 corpus_options = (
-    click.option("--pubs", required=True, type=INPUT_FILE, help="publications.jsonl input"),
-    click.option("--orgs", required=True, type=INPUT_FILE, help="organizations.csv input"),
-    click.option("--journals", required=True, type=INPUT_FILE, help="journals.csv input"),
-    click.option("--staff", required=True, type=INPUT_FILE, help="staff.csv input"),
-    click.option("--sectors", required=True, type=INPUT_FILE, help="sectors.csv input"),
+    *(click.option(f"--{name}", required=True, type=INPUT_FILE, help=f"{filename} input")
+      for name, filename in zip(CORPUS_FILES, CORPUS_FILENAMES.values())),
     click.option("--home-country", default=DEFAULT_CONFIG.home_country, show_default=True,
                  help="ISO country code of the domestic system"),
     click.option("--period", default="{}-{}".format(*DEFAULT_CONFIG.period), show_default=True,
@@ -105,7 +103,7 @@ def _finite(ctx, param, value: float) -> float:
 
 
 aggregate_options = (
-    click.option("--ci-mode", type=click.Choice(["share", "ratio"]), default="share",
+    click.option("--ci-mode", type=click.Choice(list(agg.CI_MODES)), default="share",
                  show_default=True, help="CI reading fed into normalization"),
     click.option("--threshold", type=click.FloatRange(min=0, min_open=True),
                  default=5.0, show_default=True, callback=_finite,
@@ -209,11 +207,12 @@ def indicators(out_dir: Path, **kw):
 def aggregate(indicators_path: Path, out_dir: Path, ci_mode: str, threshold: float):
     """Normalize to sector means and aggregate to areas."""
     records, sectors = ind.read_indicators_csv(indicators_path)
-    aggregates, result = _aggregate_records(records, sectors, ci_mode, threshold)
+    result = _aggregate_records(records, sectors, ci_mode, threshold)
     config = {"ci_mode": ci_mode, "threshold": threshold}
     with _writing(out_dir, "aggregate", config, [indicators_path]):
-        agg.write_aggregates_csv(aggregates, result.excluded, out_dir / AGGREGATES_FILENAME)
-    click.echo(f"wrote {len(aggregates)} aggregates to {out_dir / AGGREGATES_FILENAME}")
+        agg.write_aggregates_csv(result, out_dir / AGGREGATES_FILENAME)
+    click.echo(f"wrote {len(result.kept) + len(result.excluded)} aggregates to "
+               f"{out_dir / AGGREGATES_FILENAME}")
 
 
 @cli.command()
@@ -270,28 +269,28 @@ def run_all(out_dir: Path, ci_mode: str, threshold: float, quartile_scope: str,
     with _writing(out_dir, "all", config, _corpus_inputs(kw)):
         records = ind.compute_indicators(corpus)
         ind.write_indicators_csv(records, corpus.sectors, out_dir / INDICATORS_FILENAME)
-        aggregates, result = _aggregate_records(records, corpus.sectors, ci_mode, threshold)
-        agg.write_aggregates_csv(aggregates, result.excluded, out_dir / AGGREGATES_FILENAME)
+        result = _aggregate_records(records, corpus.sectors, ci_mode, threshold)
+        agg.write_aggregates_csv(result, out_dir / AGGREGATES_FILENAME)
         _write_reports(corpus, records, out_dir, quartile_scope, table2_mode, top_n)
         _write_correlations(result.kept, out_dir)
     click.echo(f"pipeline complete: {out_dir}")
 
 
-def _aggregate_records(records, sectors, ci_mode: str, threshold: float):
+def _aggregate_records(records, sectors, ci_mode: str, threshold: float) -> agg.FilterResult:
     normalized = agg.normalize_to_sds_mean(records, ci_mode=ci_mode)
     for sds, indicator in normalized.zero_mean:
         click.echo(
             f"warning: sector '{sds}' has zero mean {indicator}; "
             "normalized values undefined", err=True,
         )
-    aggregates = agg.aggregate_area(normalized.cells, sectors)
-    result = agg.filter_small_universities(aggregates, threshold=threshold)
+    result = agg.filter_small_universities(agg.aggregate_area(normalized.cells, sectors),
+                                           threshold=threshold)
     for row in result.excluded:
         click.echo(
             f"excluded {row.university}/{row.area} "
             f"(area staff {row.total_staff:g} < {threshold:g})"
         )
-    return aggregates, result
+    return result
 
 
 def _write_reports(corpus: Corpus, records: list[ind.IndicatorRecord], out_dir: Path,

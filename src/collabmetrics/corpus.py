@@ -70,12 +70,6 @@ class Organization:
     country: str
 
 
-@dataclass(frozen=True)
-class Journal:
-    journal_id: str
-    impact_factor_by_year: Mapping[int, float]
-
-
 @dataclass(frozen=True, slots=True)
 class Attribution:
     """One (university, sector) credit line of a publication."""
@@ -110,8 +104,13 @@ class StaffRoster:
             total += self.entries.get((university, sds, year), 0)
         return total / len(years)
 
-    def pairs(self) -> set[tuple[str, str]]:
-        return {(u, s) for (u, s, _y) in self.entries}
+    def pairs(self) -> frozenset[tuple[str, str]]:
+        """The (university, sds) pairs with a roster entry."""
+        return self._pairs
+
+    @cached_property
+    def _pairs(self) -> frozenset[tuple[str, str]]:
+        return frozenset([(u, s) for (u, s, _y) in self.entries])
 
 
 @dataclass(frozen=True)
@@ -137,17 +136,17 @@ class SectorMap:
 class Corpus:
     """The cross-linked input files.
 
-    Two facts are derived once and cached: ``profiles`` (collaboration
+    Three facts are derived once and cached: ``profiles`` (collaboration
     class of each publication, classified once per distinct organization
-    set, so equal sets share one profile) and ``normalized_ifs``
-    (sector-normalized impact factors).  Both depend only on fields that
-    never change, so a cached value cannot go stale
+    set, so equal sets share one profile), ``publications_by_sds`` and
+    ``normalized_ifs`` (sector-normalized impact factors).  Each depends
+    only on fields that never change, so a cached value cannot go stale
     (``dataclasses.replace`` gives a fresh cache).
     """
 
     publications: tuple[Publication, ...]
     organizations: Mapping[str, Organization]
-    journals: Mapping[str, Journal]
+    journals: Mapping[str, Mapping[int, float]]  # journal id -> {year: impact factor}
     staff: StaffRoster
     sectors: SectorMap
     home_country: str
@@ -162,6 +161,7 @@ class Corpus:
                 by_org_set[pub.org_ids] = classify_collaboration(pub, self.organizations)
         return tuple([by_org_set[pub.org_ids] for pub in self.publications])
 
+    @cached_property
     def publications_by_sds(self) -> dict[str, list[Publication]]:
         """Publications of each sector (a publication once per sector it
         credits), sectors in order of first appearance."""
@@ -178,10 +178,13 @@ class Corpus:
         divided by the publication-weighted sector mean, so the mean
         normalized value over the sector's publications is one."""
         table = {}
-        for sds, pubs in self.publications_by_sds().items():
+        for sds, pubs in self.publications_by_sds.items():
             raws = [_raw_impact(self, p) for p in pubs]
-            # exact summation keeps the result independent of publication order
-            mean = math.fsum(raws) / len(raws)
+            try:
+                # exact summation keeps the result independent of publication order
+                mean = math.fsum(raws) / len(raws)
+            except OverflowError as exc:  # finite impact factors too large to add up
+                raise IndicatorError(f"sector '{sds}', impact factor mean: {exc}") from None
             if mean == 0.0:
                 raise IndicatorError(
                     f"sector '{sds}': all impact factors are zero, normalization undefined"
@@ -191,12 +194,12 @@ class Corpus:
 
 
 def _raw_impact(corpus: Corpus, pub: Publication) -> float:
-    journal = corpus.journals.get(pub.journal_id)
-    if journal is None:
+    impacts = corpus.journals.get(pub.journal_id)
+    if impacts is None:
         raise IndicatorError(
             f"publication '{pub.pub_id}': dangling journal '{pub.journal_id}'"
         )
-    impact = journal.impact_factor_by_year.get(pub.year)
+    impact = impacts.get(pub.year)
     if impact is None:
         raise IndicatorError(
             f"missing impact factor for journal '{pub.journal_id}' year {pub.year}"
@@ -388,12 +391,12 @@ def _validate(corpus: Corpus, records: bool) -> ValidationReport:
             for _field, message in _organization_problems(org, corpus.home_country):
                 error(f"organizations[{org.org_id}]", message)
 
-        for journal in corpus.journals.values():
-            if not journal.impact_factor_by_year:
-                error(f"journals[{journal.journal_id}]", "no impact factor years")
-            for year, impact in journal.impact_factor_by_year.items():
+        for journal_id, impacts in corpus.journals.items():
+            if not impacts:
+                error(f"journals[{journal_id}]", "no impact factor years")
+            for year, impact in impacts.items():
                 for _field, message in _impact_problems(year, impact):
-                    error(f"journals[{journal.journal_id}]", message)
+                    error(f"journals[{journal_id}]", message)
 
         for (univ, sds, year), headcount in corpus.staff.entries.items():
             for _field, message in _staff_problems(year, headcount, period):
@@ -416,10 +419,10 @@ def _validate(corpus: Corpus, records: bool) -> ValidationReport:
             for _field, message in _publication_problems(pub, period, seen_pub_ids):
                 error(f"publications[{pub.pub_id}]", message)
 
-        journal = corpus.journals.get(pub.journal_id)
-        if journal is None:
+        impacts = corpus.journals.get(pub.journal_id)
+        if impacts is None:
             faults[_JOURNAL, (pub.journal_id,)] += 1
-        elif pub.year not in journal.impact_factor_by_year:
+        elif pub.year not in impacts:
             faults[_IMPACT, (pub.journal_id, pub.year)] += 1
 
         pubs_by_org_set[pub.org_ids] = pubs_by_org_set.get(pub.org_ids, 0) + 1
@@ -586,7 +589,7 @@ def load_organizations(path, home_country: str) -> dict[str, Organization]:
     return orgs
 
 
-def load_journals(path) -> dict[str, Journal]:
+def load_journals(path) -> dict[str, dict[int, float]]:
     by_journal: dict[str, dict[int, float]] = {}
     for lineno, (journal_id, raw_year, raw_if) in _read_csv(path, JOURNAL_HEADER):
         if not journal_id:
@@ -605,7 +608,7 @@ def load_journals(path) -> dict[str, Journal]:
                 path, lineno, f"duplicate row for journal '{journal_id}' year {year}"
             )
         years[year] = impact
-    return {jid: Journal(jid, years) for jid, years in by_journal.items()}
+    return by_journal
 
 
 def load_staff(path, period: tuple[int, int]) -> StaffRoster:
@@ -809,7 +812,7 @@ def write_corpus(corpus: Corpus, out_dir) -> dict[str, Path]:
         [
             [jid, year, repr(impact)]
             for jid in sorted(corpus.journals)
-            for year, impact in sorted(corpus.journals[jid].impact_factor_by_year.items())
+            for year, impact in sorted(corpus.journals[jid].items())
         ],
     )
     _write_csv(

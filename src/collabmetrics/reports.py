@@ -68,6 +68,9 @@ class CrossTab:
                 if value < 0:
                     raise ReportError(f"negative count in cell ({label}, {col})")
                 counts[(label, col)] = int(value)
+        problems = _marginal_problems(counts)
+        if problems:  # before the concentration indices, which assume consistent counts
+            raise ReportError("; ".join(problems))
 
         row_totals = {
             label: counts[(label, "intramural")] + counts[(label, "extramural")]
@@ -87,7 +90,7 @@ class CrossTab:
             for label in QUARTILE_LABELS
             for col in COLLAB_COLUMNS
         }
-        table = cls(
+        return cls(
             rows=QUARTILE_LABELS,
             counts=counts,
             row_totals=row_totals,
@@ -95,20 +98,20 @@ class CrossTab:
             grand_total=grand_total,
             concentration=concentration,
         )
-        problems = table.marginal_problems()
-        if problems:
-            raise ReportError("; ".join(problems))
-        return table
 
     def marginal_problems(self) -> list[str]:
         """Rows whose foreign or enterprise count exceeds their extramural
         count (``from_counts`` derives every total from the counts)."""
-        return [
-            f"row '{label}': {col} exceeds extramural"
-            for label in self.rows
-            for col in ("foreign", "enterprise")
-            if self.counts[(label, col)] > self.counts[(label, "extramural")]
-        ]
+        return _marginal_problems(self.counts)
+
+
+def _marginal_problems(counts: Mapping[tuple[str, str], int]) -> list[str]:
+    return [
+        f"row '{label}': {col} exceeds extramural"
+        for label in QUARTILE_LABELS
+        for col in ("foreign", "enterprise")
+        if counts[(label, col)] > counts[(label, "extramural")]
+    ]
 
 
 def build_crosstab(corpus: Corpus, quartile_scope: str = "global") -> CrossTab:
@@ -138,7 +141,7 @@ def build_crosstab(corpus: Corpus, quartile_scope: str = "global") -> CrossTab:
         bins = stats.quartile_bins(values)
     else:
         first_sector_bins = {}  # sds -> bins of the publications it credits first
-        for sds, sds_pubs in corpus.publications_by_sds().items():
+        for sds, sds_pubs in corpus.publications_by_sds.items():
             nif = nif_by_sds[sds]
             sector_values = [nif[(p.journal_id, p.year)] for p in sds_pubs]
             if len(sector_values) < 4:
@@ -271,8 +274,7 @@ def _pooled_sds_metric(
 @dataclass(frozen=True)
 class DispersionRow:
     area: str
-    n_sds: int
-    summary: stats.Descriptives
+    summary: stats.Descriptives  # over the area's sectors with a defined value
 
 
 def build_dispersion_table(
@@ -291,9 +293,7 @@ def build_dispersion_table(
         if not values:
             warnings.append(f"area '{area}' has no sectors with defined CI_share")
             continue
-        rows.append(
-            DispersionRow(area=area, n_sds=len(values), summary=stats.descriptive(values))
-        )
+        rows.append(DispersionRow(area=area, summary=stats.descriptive(values)))
     return rows, warnings
 
 
@@ -352,7 +352,6 @@ class CorrelationTable:
     """Association of performance indicators (Y) with one collaboration
     metric (X) across the universities of each area."""
 
-    collab_metric: str
     areas: tuple[str, ...]
     cells: Mapping[tuple[str, str], stats.AssociationStats]  # (indicator, area)
     notes: Mapping[tuple[str, str], str]  # reasons for undefined cells
@@ -389,12 +388,7 @@ def build_correlation_table(
                 notes[(indicator, area)] = "zero variance"
                 continue
             cells[(indicator, area)] = result
-    return CorrelationTable(
-        collab_metric=collab_metric,
-        areas=tuple(sorted(by_area)),
-        cells=cells,
-        notes=notes,
-    )
+    return CorrelationTable(areas=tuple(sorted(by_area)), cells=cells, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +434,7 @@ def emit_dispersion(rows: list[DispersionRow], path) -> None:
     pcts = ("mean", "median", "min", "max", "std")  # Descriptives fields written as percent
     header = ["area", "n_sds"] + [f"{name}_pct" for name in pcts] + ["cv"]
     _write_csv(path, header, (
-        [r.area, r.n_sds] + [_fmt_pct(getattr(r.summary, name)) for name in pcts]
+        [r.area, r.summary.n] + [_fmt_pct(getattr(r.summary, name)) for name in pcts]
         + [_fmt_stat(r.summary.cv)]
         for r in rows
     ))

@@ -42,7 +42,6 @@ from .corpus import (
     Attribution,
     Corpus,
     CorpusConfig,
-    Journal,
     Organization,
     OrgClass,
     Publication,
@@ -235,7 +234,7 @@ def _check_params(params: SynthParams) -> None:
 
 def load_params(seed: int, params_path: Path | None) -> SynthParams:
     """The parameters of ``synth --seed --params``: defaults, overridden by
-    the JSON object in ``params_path`` if given."""
+    the JSON object in ``params_path`` if given (it may not name the seed)."""
     if params_path is None:
         return SynthParams(seed=seed)
     try:
@@ -244,6 +243,8 @@ def load_params(seed: int, params_path: Path | None) -> SynthParams:
         raise SynthParamsError(f"{params_path}: {exc}") from None
     if not isinstance(raw, dict):
         raise SynthParamsError("params file must hold a JSON object")
+    if "seed" in raw:  # the seed is --seed's alone, so the manifest records the one used
+        raise SynthParamsError("unknown key 'seed'")
     return _from_json({"seed": seed} | raw, SynthParams, "")
 
 
@@ -361,7 +362,7 @@ def generate_corpus(params: SynthParams) -> SynthResult:
             organizations[oid] = Organization(oid, f"{label} {i + 1}", org_class, country)
 
     mu0, sigma = params.if_lognormal
-    journals: dict[str, Journal] = {}
+    journals: dict[str, dict[int, float]] = {}
     journals_by_sds: dict[str, list[str]] = {}
     for sds in sectors:
         mu = mu0 + params.sector_if_spread * _normal(_rng(seed, "sector-if", sds))
@@ -369,10 +370,10 @@ def generate_corpus(params: SynthParams) -> SynthResult:
         journals_by_sds[sds] = ids
         for jid in ids:
             rng = _rng(seed, "journal", jid)
-            journals[jid] = Journal(jid, {
+            journals[jid] = {
                 year: max(round(math.exp(mu + sigma * _normal(rng)), 4), 0.0001)
                 for year in years
-            })
+            }
 
     planted_by_area = {a.area: a for a in params.planted_associations}
     # area -> (association, collaboration share and productivity multiplier by university)

@@ -13,7 +13,6 @@ import random
 from collabmetrics.corpus import (
     Attribution,
     Corpus,
-    Journal,
     Organization,
     OrgClass,
     Publication,
@@ -47,9 +46,7 @@ def make_random_corpus(rng: random.Random, max_pubs: int = 50) -> Corpus:
 
     journal_ids = [f"J{i}" for i in range(rng.randint(2, 5))]
     journals = {
-        jid: Journal(
-            jid, {y: round(rng.uniform(0.05, 8.0), 3) for y in years}
-        )
+        jid: {y: round(rng.uniform(0.05, 8.0), 3) for y in years}
         for jid in journal_ids
     }
 
@@ -96,7 +93,7 @@ def naive_indicator_oracle(corpus: Corpus) -> dict[tuple[str, str], dict]:
     years = list(range(corpus.period[0], corpus.period[1] + 1))
 
     def raw_if(pub):
-        return corpus.journals[pub.journal_id].impact_factor_by_year[pub.year]
+        return corpus.journals[pub.journal_id][pub.year]
 
     sector_raws: dict[str, list[float]] = {}
     for pub in corpus.publications:
@@ -176,7 +173,7 @@ def naive_crosstab_oracle(corpus: Corpus, quartile_scope: str) -> list[list[int]
     quartile split has fewer than 4 publications."""
 
     def raw_if(pub):
-        return corpus.journals[pub.journal_id].impact_factor_by_year[pub.year]
+        return corpus.journals[pub.journal_id][pub.year]
 
     sector_pubs: dict[str, list[Publication]] = {}
     for pub in corpus.publications:
@@ -219,3 +216,32 @@ def naive_crosstab_oracle(corpus: Corpus, quartile_scope: str) -> list[list[int]
             row[2] += OrgClass.FOREIGN in classes
             row[3] += OrgClass.ENTERPRISE_DOMESTIC in classes
     return counts
+
+
+def naive_area_profile_oracle(corpus: Corpus) -> dict[str, dict]:
+    """Per-area output and pooled collaboration shares by plain loops: a
+    publication counts once in each area that one of its sectors belongs to."""
+    out = {}
+    for area in sorted(set(corpus.sectors.entries.values())):
+        pubs = [
+            p for p in corpus.publications
+            if any(corpus.sectors.entries[a.sds] == area for a in p.attributions)
+        ]
+
+        def share(has):
+            if not pubs:
+                return None
+            return sum(1 for p in pubs if has(p)) / len(pubs)
+
+        def classes(pub):
+            return [corpus.organizations[oid].org_class for oid in pub.org_ids]
+
+        out[area] = {
+            "output": len(pubs),
+            "CI": share(lambda p: len(p.org_ids) > 1),
+            "CI_UNI": share(lambda p: classes(p).count(OrgClass.UNIV_DOMESTIC) >= 2),
+            "CI_DPR": share(lambda p: OrgClass.DPR_DOMESTIC in classes(p)),
+            "FCI": share(lambda p: OrgClass.FOREIGN in classes(p)),
+            "DCI": share(lambda p: OrgClass.ENTERPRISE_DOMESTIC in classes(p)),
+        }
+    return out

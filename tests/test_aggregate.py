@@ -222,11 +222,11 @@ class TestPersistence:
         result = filter_small_universities(aggs, threshold=30.0)
 
         path = tmp_path / "aggregates.csv"
-        write_aggregates_csv(aggs, result.excluded, path)
+        write_aggregates_csv(result, path)
         loaded = read_aggregates_csv(path)
         assert list(loaded.kept) == list(result.kept)
         assert list(loaded.excluded) == list(result.excluded)
 
         second = tmp_path / "again.csv"
-        write_aggregates_csv(aggs, result.excluded, second)
+        write_aggregates_csv(result, second)
         assert path.read_bytes() == second.read_bytes()

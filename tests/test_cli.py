@@ -288,6 +288,8 @@ class TestSynthCommand:
         pytest.param(b'{"n_universities": "x"}', "n_universities", id="n_universities-string"),
         pytest.param(b'{"staff_range": 5}', "staff_range", id="staff_range-int"),
         pytest.param(b'{"seed": "x"}', "seed", id="seed-string"),
+        # the seed is --seed's alone, so the manifest cannot record another
+        pytest.param(b'{"seed": 5}', "unknown key 'seed'", id="seed-in-params"),
         pytest.param(b'{"collab_propensities": {"foreign": "x"}}',
                      "collab_propensities.foreign", id="collab_propensities-string"),
         pytest.param(json.dumps({"planted_associations": [
@@ -571,6 +573,42 @@ class TestPipeline:
         first = dict(zip(header.decode().split(","), rows[0].decode().split(",")))
         assert message.format(**first) in result.output
         assert not (out / "run_manifest.json").exists()
+
+    @pytest.mark.parametrize("impact,message", [
+        pytest.param("0.0", "sector 'A01S01': all impact factors are zero, normalization "
+                     "undefined", id="zero"),
+        # finite, but the sector's sum overflows
+        pytest.param("1e308", "sector 'A01S01', impact factor mean: intermediate overflow "
+                     "in fsum", id="1e308"),
+    ])
+    def test_unusable_sector_impact_factors_fail_cleanly(
+        self, runner, data_dir, tmp_path, impact, message
+    ):
+        path = data_dir / "journals.csv"
+        path.write_text("".join(
+            line.rsplit(",", 1)[0] + f",{impact}\n" if line.startswith("A01S01") else line
+            for line in path.read_text().splitlines(keepends=True)
+        ))
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["all"] + corpus_args(data_dir) + ["--out", str(out)])
+        assert_clean_failure(result)
+        assert message in result.output
+        assert not (out / "run_manifest.json").exists()
+
+    def test_area_without_defined_ci_share_warned(self, runner, data_dir, tmp_path):
+        # one staffed sector without publications: its only cell has no CI_share
+        with open(data_dir / "sectors.csv", "a", encoding="utf-8") as fh:
+            fh.write("X01S01,X01\n")
+        with open(data_dir / "staff.csv", "a", encoding="utf-8") as fh:
+            fh.write("U001,X01S01,2001,3\n")
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["all"] + corpus_args(data_dir) + ["--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert ("warning: area 'X01' has no sectors with defined CI_share"
+                in result.stderr.splitlines())
+        areas = [line.split(",")[0] for line in
+                 (out / "dispersion.csv").read_text().splitlines()[1:]]
+        assert areas == ["A01", "A02", "A03", "A04"]
 
     @pytest.mark.parametrize("command,table", [
         ("aggregate", "indicators.csv"), ("correlate", "aggregates.csv"),

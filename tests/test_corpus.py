@@ -16,7 +16,6 @@ from collabmetrics.corpus import (
     CorpusConfig,
     CorpusLoadError,
     CorpusValidationError,
-    Journal,
     Organization,
     OrgClass,
     Publication,
@@ -308,7 +307,7 @@ class TestValidate:
     def test_non_finite_impact_factor_is_an_error(self, tmp_path, impact):
         corpus = load_from(write_minimal_files(tmp_path))
         corpus = dataclasses.replace(
-            corpus, journals={"J1": Journal("J1", {2001: impact, 2002: 2.4, 2003: 2.6})}
+            corpus, journals={"J1": {2001: impact, 2002: 2.4, 2003: 2.6}}
         )
         messages = [e.describe() for e in validate_corpus(corpus).errors]
         assert messages == [
@@ -325,7 +324,7 @@ class TestValidate:
             organizations={
                 "UA": Organization("UA", "Univ A", OrgClass.UNIV_DOMESTIC, "IT")
             },
-            journals={"J1": Journal("J1", {2001: 1.0})},
+            journals={"J1": {2001: 1.0}},
             staff=StaffRoster(entries={}),
             sectors=SectorMap(entries={"S1": "A1"}),
             home_country="IT",
@@ -370,7 +369,7 @@ INVARIANT_FAULTS = {
     ),
     "impact-factor": (
         "journals", "journal_id,year,impact_factor\nJ1,2001,-1.5\n",
-        lambda c: dataclasses.replace(c, journals={"J1": Journal("J1", {2001: -1.5})}),
+        lambda c: dataclasses.replace(c, journals={"J1": {2001: -1.5}}),
     ),
     "headcount": (
         "staff", "university,sds,year,headcount\nUA,S1,2001,-3\n",

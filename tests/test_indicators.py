@@ -7,7 +7,6 @@ import pytest
 from collabmetrics.corpus import (
     Attribution,
     Corpus,
-    Journal,
     Organization,
     OrgClass,
     Publication,
@@ -76,7 +75,7 @@ class TestFractionalContribution:
 
 class TestNormalizedImpactFactor:
     def test_single_journal_self_normalizes(self):
-        journals = {"J1": Journal("J1", {2001: 3.0})}
+        journals = {"J1": {2001: 3.0}}
         corpus = build_corpus(
             [pub(f"p{i}", "J1", {"UA"}) for i in range(5)], journals
         )
@@ -85,8 +84,8 @@ class TestNormalizedImpactFactor:
 
     def test_two_journals_forced_values(self):
         journals = {
-            "J1": Journal("J1", {2001: 1.0}),
-            "J2": Journal("J2", {2001: 3.0}),
+            "J1": {2001: 1.0},
+            "J2": {2001: 3.0},
         }
         corpus = build_corpus(
             [pub("p1", "J1", {"UA"}), pub("p2", "J2", {"UA"})], journals
@@ -101,7 +100,7 @@ class TestNormalizedImpactFactor:
         pubs = []
         for i in range(100):
             jid = f"J{i}"
-            journals[jid] = Journal(jid, {2001: float(rng.lognormal(0.2, 0.8))})
+            journals[jid] = {2001: float(rng.lognormal(0.2, 0.8))}
             pubs.append(pub(f"p{i}", jid, {"UA"}))
         corpus = build_corpus(pubs, journals)
         nif = corpus.normalized_ifs["S1"]
@@ -111,11 +110,11 @@ class TestNormalizedImpactFactor:
         assert abs(mean - 1.0) <= 1e-9
 
     def test_empty_sector_gives_empty_map(self):
-        corpus = build_corpus([], {"J1": Journal("J1", {2001: 1.0})})
+        corpus = build_corpus([], {"J1": {2001: 1.0}})
         assert corpus.normalized_ifs == {}
 
     def test_missing_impact_factor_names_pair(self):
-        journals = {"J1": Journal("J1", {2002: 1.0})}
+        journals = {"J1": {2002: 1.0}}
         corpus = build_corpus([pub("p1", "J1", {"UA"}, year=2001)], journals)
         with pytest.raises(IndicatorError, match="'J1' year 2001"):
             corpus.normalized_ifs
@@ -125,9 +124,9 @@ def hand_worked_corpus():
     """Two publications of UA (normalized IFs 1.0 and 2.0) plus two filler
     publications of UB holding the sector mean at 1.5."""
     journals = {
-        "JA": Journal("JA", {2001: 1.5}),
-        "JB": Journal("JB", {2001: 3.0}),
-        "JC": Journal("JC", {2001: 0.75}),
+        "JA": {2001: 1.5},
+        "JB": {2001: 3.0},
+        "JC": {2001: 0.75},
     }
     staff = {("UA", "S1", y): 4 for y in (2001, 2002, 2003)}
     staff.update({("UB", "S1", y): 2 for y in (2001, 2002, 2003)})
@@ -161,7 +160,7 @@ class TestComputeIndicators:
         assert rec.DCI == 0.0
 
     def test_intramural_limit(self):
-        journals = {"J1": Journal("J1", {2001: 2.0})}
+        journals = {"J1": {2001: 2.0}}
         corpus = build_corpus(
             [pub(f"p{i}", "J1", {"UA"}) for i in range(4)],
             journals,
@@ -174,7 +173,7 @@ class TestComputeIndicators:
         assert rec.CI_share == rec.CI_UNI == rec.CI_DPR == rec.FCI == rec.DCI == 0.0
 
     def test_empty_cell_with_staff(self):
-        journals = {"J1": Journal("J1", {2001: 1.0})}
+        journals = {"J1": {2001: 1.0}}
         staff = {("UB", "S1", y): 5 for y in (2001, 2002, 2003)}
         corpus = build_corpus([pub("p1", "J1", {"UA"})], journals, staff=staff)
         records = {(r.university, r.sds): r for r in compute_indicators(corpus)}
@@ -187,7 +186,7 @@ class TestComputeIndicators:
         assert rec.CI_ratio is None
 
     def test_zero_staff_with_output_leaves_productivity_undefined(self):
-        journals = {"J1": Journal("J1", {2001: 1.0})}
+        journals = {"J1": {2001: 1.0}}
         corpus = build_corpus([pub("p1", "J1", {"UA"})], journals)
         rec = compute_indicators(corpus)[0]
         assert rec.O == 1
@@ -196,7 +195,7 @@ class TestComputeIndicators:
         assert rec.CI_share == 0.0
 
     def test_staff_mean_counts_missing_years_as_zero(self):
-        journals = {"J1": Journal("J1", {2001: 1.0})}
+        journals = {"J1": {2001: 1.0}}
         staff = {("UA", "S1", 2001): 6}  # one of three years
         corpus = build_corpus([pub("p1", "J1", {"UA"})], journals, staff=staff)
         rec = compute_indicators(corpus)[0]
@@ -221,7 +220,7 @@ class TestComputeIndicators:
     def test_scale_invariance_power_of_two_is_exact(self):
         corpus = hand_worked_corpus()
         scaled_journals = {
-            jid: Journal(jid, {y: 4.0 * v for y, v in j.impact_factor_by_year.items()})
+            jid: {y: 4.0 * v for y, v in j.items()}
             for jid, j in corpus.journals.items()
         }
         scaled = build_corpus(corpus.publications, scaled_journals,

@@ -13,7 +13,6 @@ from collabmetrics.aggregate import (
 from collabmetrics.corpus import (
     Attribution,
     Corpus,
-    Journal,
     Organization,
     OrgClass,
     Publication,
@@ -22,6 +21,7 @@ from collabmetrics.corpus import (
 )
 from collabmetrics.indicators import compute_indicators
 from collabmetrics.reports import (
+    AREA_SHARES,
     COLLAB_COLUMNS,
     CrossTab,
     ReportError,
@@ -40,7 +40,7 @@ from collabmetrics.synth import (
     generate_corpus,
 )
 
-from oracles import make_random_corpus, naive_crosstab_oracle
+from oracles import make_random_corpus, naive_area_profile_oracle, naive_crosstab_oracle
 
 # Published cross-tab: (intramural, extramural, foreign, enterprise) per
 # quality quartile, with the concentration indices printed alongside.
@@ -78,10 +78,12 @@ class TestCrossTabFromCounts:
         assert table.grand_total == PUBLISHED_GRAND_TOTAL
         assert table.marginal_problems() == []
 
-    def test_inconsistent_subset_rejected(self):
-        bad = [list(r) for r in PUBLISHED_COUNTS]
-        bad[0][2] = bad[0][1] + 1  # foreign above extramural
-        with pytest.raises(ReportError, match="exceeds extramural"):
+    # foreign above extramural (5), and also above the row total (15)
+    @pytest.mark.parametrize("foreign", [6, 16])
+    def test_inconsistent_subset_rejected(self, foreign):
+        bad = [[10, 5, 3, 1] for _ in range(4)]
+        bad[0][2] = foreign
+        with pytest.raises(ReportError, match="row '0-25': foreign exceeds extramural"):
             CrossTab.from_counts(bad)
 
     def test_column_weighted_concentration_mean_is_one(self):
@@ -97,7 +99,7 @@ class TestCrossTabFromCounts:
 
 
 def intramural_corpus():
-    journals = {f"J{i}": Journal(f"J{i}", {2001: float(i + 1)}) for i in range(8)}
+    journals = {f"J{i}": {2001: float(i + 1)} for i in range(8)}
     orgs = {"UA": Organization("UA", "University A", OrgClass.UNIV_DOMESTIC, "IT")}
     pubs = tuple(
         Publication(f"p{i}", 2001, f"J{i}", frozenset({"UA"}),
@@ -181,7 +183,7 @@ ORGS = {
 
 def profile_corpus():
     """10 publications in one area: 6 extramural, 3 of them foreign."""
-    journals = {"J1": Journal("J1", {2001: 1.0})}
+    journals = {"J1": {2001: 1.0}}
     pubs = []
     for i in range(10):
         if i < 3:
@@ -245,6 +247,20 @@ class TestAreaProfile:
         expected = 0.47 * math.exp(0.1 ** 2 / 2)
         assert math.fsum(realized) / len(realized) == pytest.approx(expected, abs=0.01)
 
+    def test_pooled_matches_brute_force_oracle(self):
+        rng = random.Random(23)
+        multi_area = 0
+        for _ in range(60):
+            corpus = make_random_corpus(rng, max_pubs=60)
+            areas = corpus.sectors.entries
+            multi_area += sum(len({areas[a.sds] for a in p.attributions}) > 1
+                              for p in corpus.publications)
+            rows = build_area_profile(corpus, compute_indicators(corpus))
+            got = {r.area: dict(output=r.output, **{s: getattr(r, s) for s in AREA_SHARES})
+                   for r in rows}
+            assert got == naive_area_profile_oracle(corpus)
+        assert multi_area > 0
+
     def test_weighted_mode_runs_and_stays_in_range(self):
         corpus = generate_corpus(SynthParams(seed=9, n_universities=8)).corpus
         records = compute_indicators(corpus)
@@ -263,7 +279,7 @@ class TestDispersion:
         rows, warnings = build_dispersion_table(records, corpus.sectors)
         assert warnings == []
         row = rows[0]
-        assert row.n_sds == 1
+        assert row.summary.n == 1
         assert row.summary.mean == row.summary.median == row.summary.min == row.summary.max
         assert row.summary.std == 0.0
 
