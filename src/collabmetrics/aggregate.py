@@ -103,11 +103,11 @@ def normalize_to_sds_mean(
     zero_mean: list[tuple[str, str]] = []
     for sds in sorted(by_sds):
         means[sds] = []
-        where = f"sector '{sds}'"
         columns = zip(*map(source_values, by_sds[sds]))
         for (target, source), column in zip(sources.items(), columns):
             # unit weights: the plain mean of the defined values
-            mean = _located_mean(where, source, [(v, 1) for v in column])
+            mean = stats.weighted_mean([(v, 1) for v in column],
+                                       f"sector '{sds}', column '{source}'")
             if mean == 0.0:
                 mean = None
                 zero_mean.append((sds, target))
@@ -142,30 +142,26 @@ def aggregate_area(
     for (univ, area) in sorted(groups):
         group = groups[(univ, area)]
         weights = [cell.Add for cell in group]
-        where = f"{univ}/{area}"
         columns = zip(*map(normalized_values, group))
         values = {
-            indicator: _located_mean(where, indicator, list(zip(column, weights)))
+            indicator: stats.weighted_mean(zip(column, weights),
+                                           f"{univ}/{area}, column '{indicator}'")
             for indicator, column in zip(AREA_INDICATORS, columns)
         }
+        try:
+            total_staff = math.fsum(weights)
+        except OverflowError as exc:  # also counts cells whose every value is undefined
+            raise OverflowError(f"{univ}/{area}, column 'staff': {exc}") from None
         aggregates.append(
             AreaAggregate(
                 university=univ,
                 area=area,
-                total_staff=math.fsum(weights),
+                total_staff=total_staff,
                 n_sectors=len(group),
                 **values,
             )
         )
     return aggregates
-
-
-def _located_mean(where: str, column: str, terms: list) -> float | None:
-    """``stats.weighted_mean`` of ``terms``; an overflow names where it happened."""
-    try:
-        return stats.weighted_mean(terms)
-    except OverflowError as exc:
-        raise OverflowError(f"{where}, column '{column}': {exc}") from None
 
 
 def filter_small_universities(

@@ -29,7 +29,8 @@ import click
 from . import aggregate as agg
 from . import indicators as ind
 from . import reports
-from .corpus import CORPUS_FILENAMES, Corpus, CorpusConfig, CorpusError, _validate, load_corpus
+from .corpus import CORPUS_FILENAMES, Corpus, CorpusConfig, CorpusError, check_references
+from .corpus import load_corpus
 
 INDICATORS_FILENAME = "indicators.csv"
 AGGREGATES_FILENAME = "aggregates.csv"
@@ -147,7 +148,7 @@ def _load(kw: dict, *, check: bool = True) -> Corpus:
 class _Pipeline(click.Group):
     """The command group: each library error ends a command in one ``error:`` line
     (SynthParamsError is a ValueError; OSError covers an unusable output path;
-    OverflowError a finite stage-input value too large to average or square).
+    OverflowError a finite input value too large to average or square).
 
     A command runs with the cyclic garbage collector paused: the corpus and
     everything derived from it hold no reference cycles, so a collection
@@ -178,7 +179,7 @@ def cli():
 def validate(**kw):
     """Check corpus files and report every consistency issue."""
     corpus = _load(kw, check=False)
-    report = _validate(corpus, records=False)  # the loaders have checked every record
+    report = check_references(corpus)  # the loaders have checked every record
     for issue in report.issues:
         click.echo(issue.describe())
     click.echo(

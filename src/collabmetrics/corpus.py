@@ -2,11 +2,12 @@
 
 Each record invariant has one check, called by the loaders (which fail fast
 with file/line context, after the file-shape checks only a raw row needs)
-and by ``validate_corpus``, which also checks references across files; a
-loader does not, so that broken corpora can still be inspected.  A checked
-``load_corpus`` runs only the reference checks, since its loaders have
-already checked every record.  The stage tables (indicators.csv,
-aggregates.csv) are read by the same strict reader.
+and by ``validate_corpus``, which also runs ``check_references`` on the
+references across files; a loader does not, so that broken corpora can
+still be inspected.  A checked ``load_corpus`` runs only
+``check_references``, since its loaders have already checked every record.
+The stage tables (indicators.csv, aggregates.csv) are read by the same
+strict reader.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import csv
 import enum
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -183,7 +185,9 @@ class Corpus:
             try:
                 # exact summation keeps the result independent of publication order
                 mean = math.fsum(raws) / len(raws)
-            except OverflowError as exc:  # finite impact factors too large to add up
+            # finite impact factors too large to add up, or (in a corpus built in
+            # code) infinities of both signs
+            except (OverflowError, ValueError) as exc:
                 raise IndicatorError(f"sector '{sds}', impact factor mean: {exc}") from None
             if mean == 0.0:
                 raise IndicatorError(
@@ -293,6 +297,8 @@ def _staff_problems(year: int, headcount: int, period: tuple[int, int]) -> Probl
     problems = _period_problems(year, period)
     if not isinstance(headcount, int) or headcount < 0:
         problems.append(("headcount", f"non-integer or negative headcount {headcount!r}"))
+    elif headcount > sys.float_info.max:  # its period average could not be a float
+        problems.append(("headcount", "headcount too large for a float"))
     return problems
 
 
@@ -349,13 +355,34 @@ class ValidationReport:
 
 
 def validate_corpus(corpus: Corpus) -> ValidationReport:
-    """Check every record, cross-reference and registry invariant of a corpus.
+    """Check every record, cross-reference and registry invariant of a corpus:
+    the record checks the loaders run, then ``check_references``."""
+    issues: list[ValidationIssue] = []
 
-    Faulty references are aggregated one issue per key (with a reference
-    count) so one broken registry row yields one error.  A checked
-    ``load_corpus`` and the ``validate`` command run the reference checks only.
-    """
-    return _validate(corpus, records=True)
+    def error(location: str, message: str):
+        issues.append(ValidationIssue("error", location, message))
+
+    for org in corpus.organizations.values():
+        for _field, message in _organization_problems(org, corpus.home_country):
+            error(f"organizations[{org.org_id}]", message)
+
+    for journal_id, impacts in corpus.journals.items():
+        if not impacts:
+            error(f"journals[{journal_id}]", "no impact factor years")
+        for year, impact in impacts.items():
+            for _field, message in _impact_problems(year, impact):
+                error(f"journals[{journal_id}]", message)
+
+    for (univ, sds, year), headcount in corpus.staff.entries.items():
+        for _field, message in _staff_problems(year, headcount, corpus.period):
+            error(f"staff[{univ},{sds},{year}]", message)
+
+    seen_pub_ids: set[str] = set()
+    for pub in corpus.publications:
+        for _field, message in _publication_problems(pub, corpus.period, seen_pub_ids):
+            error(f"publications[{pub.pub_id}]", message)
+
+    return ValidationReport(issues=tuple(issues) + check_references(corpus).issues)
 
 
 # One row per reference across files, in report order: (severity, location,
@@ -376,37 +403,23 @@ _REFERENCES = (
  _ROSTER) = range(len(_REFERENCES))
 
 
-def _validate(corpus: Corpus, records: bool) -> ValidationReport:
-    """``validate_corpus``; without ``records`` only the references across
-    files are checked (the loaders have checked each record)."""
+def check_references(corpus: Corpus) -> ValidationReport:
+    """Check the references across files, and that every sector's impact
+    factors normalize.  The loaders check each record, so a checked
+    ``load_corpus`` and the ``validate`` command run these checks alone.
+
+    Faulty references are aggregated one issue per key (with a reference
+    count) so one broken registry row yields one error.
+    """
     issues: list[ValidationIssue] = []
 
     def error(location: str, message: str):
         issues.append(ValidationIssue("error", location, message))
 
-    period = corpus.period
-
-    if records:
-        for org in corpus.organizations.values():
-            for _field, message in _organization_problems(org, corpus.home_country):
-                error(f"organizations[{org.org_id}]", message)
-
-        for journal_id, impacts in corpus.journals.items():
-            if not impacts:
-                error(f"journals[{journal_id}]", "no impact factor years")
-            for year, impact in impacts.items():
-                for _field, message in _impact_problems(year, impact):
-                    error(f"journals[{journal_id}]", message)
-
-        for (univ, sds, year), headcount in corpus.staff.entries.items():
-            for _field, message in _staff_problems(year, headcount, period):
-                error(f"staff[{univ},{sds},{year}]", message)
-
     # (reference row, faulty key) -> number of records holding the reference
     faults: Counter[tuple[int, tuple]] = Counter()
     pubs_by_org_set: dict[frozenset[str], int] = {}
     attributions: dict[tuple[str, str], int] = {}  # (university, sds) -> count
-    seen_pub_ids: set[str] = set()
     roster_pairs = corpus.staff.pairs()
     organizations, sectors = corpus.organizations, corpus.sectors.entries
 
@@ -415,10 +428,6 @@ def _validate(corpus: Corpus, records: bool) -> ValidationReport:
             faults[_SDS, (sds,)] += 1
 
     for pub in corpus.publications:
-        if records:
-            for _field, message in _publication_problems(pub, period, seen_pub_ids):
-                error(f"publications[{pub.pub_id}]", message)
-
         impacts = corpus.journals.get(pub.journal_id)
         if impacts is None:
             faults[_JOURNAL, (pub.journal_id,)] += 1
@@ -465,6 +474,11 @@ def _validate(corpus: Corpus, records: bool) -> ValidationReport:
         issues.append(
             ValidationIssue(severity, location.format(*key), message.format(*key, n=count))
         )
+    if not any(ref in (_JOURNAL, _IMPACT) for ref, _key in faults):
+        try:
+            corpus.normalized_ifs  # cached: the indicators and reports use it next
+        except IndicatorError as exc:  # an all-zero or overflowing sector mean
+            error("journals", str(exc))
     return ValidationReport(issues=tuple(issues))
 
 
@@ -733,11 +747,10 @@ def load_corpus(
     """Load and cross-link the five input files into a Corpus.
 
     The loaders raise on the first record that breaks an invariant.  With
-    ``check`` (the default) the references across files are then checked
-    (the loaders have already checked every record) and a
-    ``CorpusValidationError`` raised on any referential error; with
+    ``check`` (the default) ``check_references`` then runs and a
+    ``CorpusValidationError`` is raised on any error it reports; with
     ``check=False`` the possibly-inconsistent corpus is returned for
-    inspection via ``validate_corpus``.
+    inspection via ``validate_corpus`` or ``check_references``.
     """
     corpus = Corpus(
         publications=load_publications(pub_path, config.period),
@@ -749,7 +762,7 @@ def load_corpus(
         period=config.period,
     )
     if check:
-        report = _validate(corpus, records=False)
+        report = check_references(corpus)
         if not report.ok:
             raise CorpusValidationError(report)
     return corpus

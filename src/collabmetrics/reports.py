@@ -68,7 +68,12 @@ class CrossTab:
                 if value < 0:
                     raise ReportError(f"negative count in cell ({label}, {col})")
                 counts[(label, col)] = int(value)
-        problems = _marginal_problems(counts)
+        problems = [
+            f"row '{label}': {col} exceeds extramural"
+            for label in QUARTILE_LABELS
+            for col in ("foreign", "enterprise")
+            if counts[(label, col)] > counts[(label, "extramural")]
+        ]
         if problems:  # before the concentration indices, which assume consistent counts
             raise ReportError("; ".join(problems))
 
@@ -98,20 +103,6 @@ class CrossTab:
             grand_total=grand_total,
             concentration=concentration,
         )
-
-    def marginal_problems(self) -> list[str]:
-        """Rows whose foreign or enterprise count exceeds their extramural
-        count (``from_counts`` derives every total from the counts)."""
-        return _marginal_problems(self.counts)
-
-
-def _marginal_problems(counts: Mapping[tuple[str, str], int]) -> list[str]:
-    return [
-        f"row '{label}': {col} exceeds extramural"
-        for label in QUARTILE_LABELS
-        for col in ("foreign", "enterprise")
-        if counts[(label, col)] > counts[(label, "extramural")]
-    ]
 
 
 def build_crosstab(corpus: Corpus, quartile_scope: str = "global") -> CrossTab:
@@ -242,7 +233,8 @@ def _area_profile_weighted(
     # area and output stay pooled; each share becomes a staff-weighted cell mean
     return [
         replace(row, **{
-            name: stats.weighted_mean((getattr(r, field), r.staff) for r in by_area[row.area])
+            name: stats.weighted_mean(((getattr(r, field), r.staff) for r in by_area[row.area]),
+                                      f"area '{row.area}', column '{field}'")
             for name, field in AREA_SHARES.items()
         })
         for row in _area_profile_pooled(corpus)
@@ -265,7 +257,7 @@ def _pooled_sds_metric(
         terms.setdefault(rec.sds, []).append((getattr(rec, metric), rec.O))
     pooled = {}
     for sds, pairs in terms.items():
-        value = stats.weighted_mean(pairs)
+        value = stats.weighted_mean(pairs, f"sector '{sds}', column '{metric}'")
         if value is not None:
             pooled[sds] = (value, sum(o for v, o in pairs if v is not None))
     return pooled
@@ -383,7 +375,12 @@ def build_correlation_table(
             if len(pairs) < 3:
                 notes[(indicator, area)] = f"insufficient data (n={len(pairs)})"
                 continue
-            result = stats.associate(xs, ys)
+            try:
+                result = stats.associate(xs, ys)
+            except OverflowError as exc:  # finite values too large to square
+                raise OverflowError(
+                    f"area '{area}', {indicator} against {collab_metric}: {exc}"
+                ) from None
             if result is None:
                 notes[(indicator, area)] = "zero variance"
                 continue

@@ -94,22 +94,24 @@ def associate(x: Sequence, y: Sequence) -> AssociationStats | None:
     return AssociationStats(r=r, beta=beta, r_squared=r_squared, n=len(pairs))
 
 
-def weighted_mean(terms: Iterable[tuple[float | None, float]]) -> float | None:
+def weighted_mean(terms: Iterable[tuple[float | None, float]], where: str) -> float | None:
     """Mean of the defined values of ``(value, weight)`` pairs.
 
     ``None`` values are skipped and the weights renormalized over the
     rest; the result is ``None`` when no positive weight remains.  Sums
     are exact (``fsum``), so the order of the terms cannot change it.
-    Raises ``OverflowError`` when a product of value and weight overflows.
+    Raises ``OverflowError``, its message prefixed with ``where``, when
+    a sum or a product of value and weight overflows.
     """
     defined = [(v, w) for v, w in terms if v is not None]
-    weight_total = math.fsum([w for _v, w in defined])
-    if weight_total > 0:
-        mean = math.fsum([v * w for v, w in defined]) / weight_total
-        if not math.isfinite(mean):
-            raise OverflowError(f"weighted mean out of range: {mean}")
-        return mean
-    return None
+    try:
+        weight_total = math.fsum([w for _v, w in defined])
+        mean = math.fsum([v * w for v, w in defined]) / weight_total if weight_total > 0 else None
+    except OverflowError as exc:  # finite terms whose sum is beyond the float range
+        raise OverflowError(f"{where}: {exc}") from None
+    if mean is not None and not math.isfinite(mean):
+        raise OverflowError(f"{where}: weighted mean out of range: {mean}")
+    return mean
 
 
 def concentration_index(

@@ -477,17 +477,12 @@ def generate_corpus(params: SynthParams) -> SynthResult:
     return SynthResult(corpus=corpus, ground_truth=ground_truth)
 
 
-def write_ground_truth(ground_truth: GroundTruth, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(ground_truth), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def write_synthetic(result: SynthResult, out_dir) -> dict[str, Path]:
     """Write the five corpus files plus the ground-truth manifest."""
     out = Path(out_dir)
     paths = write_corpus(result.corpus, out)
-    gt_path = out / GROUND_TRUTH_FILENAME
-    write_ground_truth(result.ground_truth, gt_path)
-    paths["ground_truth"] = gt_path
+    paths["ground_truth"] = out / GROUND_TRUTH_FILENAME
+    with open(paths["ground_truth"], "w", encoding="utf-8") as fh:
+        json.dump(asdict(result.ground_truth), fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return paths

@@ -89,7 +89,6 @@ def test_criterion_2_table1_marginal_identity():
         table = CrossTab.from_counts(TABLE1_COUNTS)
         assert list(table.row_totals.values()) == TABLE1_ROW_TOTALS
         assert table.grand_total == 53420
-        assert table.marginal_problems() == []
 
 
 def test_criterion_3_coefficient_of_variation_consistency():

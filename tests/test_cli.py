@@ -107,6 +107,24 @@ class TestValidateCommand:
         assert "organizations[U9X9]: dangling university id" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("impact,message", [
+        pytest.param("0.0", "sector 'A01S01': all impact factors are zero, normalization "
+                     "undefined", id="zero"),
+        pytest.param("1e308", "sector 'A01S01', impact factor mean: intermediate overflow "
+                     "in fsum", id="1e308"),
+    ])
+    def test_unusable_sector_impact_factors_are_an_error(self, runner, data_dir, impact, message):
+        path = data_dir / "journals.csv"
+        path.write_text("".join(
+            line.rsplit(",", 1)[0] + f",{impact}\n" if line.startswith("A01S01") else line
+            for line in path.read_text().splitlines(keepends=True)
+        ))
+        result = runner.invoke(cli, ["validate"] + corpus_args(data_dir))
+        assert result.exit_code == 1
+        lines = result.stdout.splitlines()
+        assert lines[0] == f"[error] journals: {message}"
+        assert lines[-1].startswith("1 error(s), 0 warning(s)")
+
     def test_malformed_file_reports_location(self, runner, data_dir):
         (data_dir / "publications.jsonl").write_text("{broken\n")
         result = runner.invoke(cli, ["validate"] + corpus_args(data_dir))
@@ -534,7 +552,8 @@ class TestPipeline:
     @pytest.mark.parametrize("command,table,column,value,n_rows,message", [
         # squaring the deviation of P from its area mean overflows in the correlation
         pytest.param("correlate", "aggregates.csv", "P", b"1e200", 1,
-                     "Numerical result out of range", id="correlate-P-1e200"),
+                     "area '{area}', P against CI: (34, 'Numerical result out of range')",
+                     id="correlate-P-1e200"),
         # the sector mean of P sums two values of 1.7e308
         pytest.param("aggregate", "indicators.csv", "P", b"1.7e308", 2,
                      "sector '{sds}', column 'P': intermediate overflow in fsum",
@@ -593,6 +612,43 @@ class TestPipeline:
         result = runner.invoke(cli, ["all"] + corpus_args(data_dir) + ["--out", str(out)])
         assert_clean_failure(result)
         assert message in result.output
+        assert not (out / "run_manifest.json").exists()
+
+    def test_weighted_area_profile_overflow_names_its_area(self, runner, data_dir, tmp_path):
+        # every headcount is 1e307: each (university, area) weight total fits a float,
+        # but the weight total over an area's cells does not
+        path = data_dir / "staff.csv"
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join(
+            [header] + [row.rsplit(",", 1)[0] + "," + str(10**307) for row in rows]
+        ) + "\n")
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["all"] + corpus_args(data_dir)
+                               + ["--out", str(out), "--table2-mode", "weighted"])
+        assert_clean_failure(result)
+        assert result.stderr.splitlines()[-1] == (
+            "error: area 'A01', column 'CI_share': intermediate overflow in fsum"
+        )
+        assert not (out / "run_manifest.json").exists()
+
+    def test_area_staff_overflow_names_its_row(self, runner, data_dir, tmp_path):
+        # U001 has 1e308 staff in A01S01 and in a new A01 sector without publications,
+        # whose normalized values are all undefined: each weighted mean's weights fit
+        # a float, but the area's staff total does not
+        path = data_dir / "staff.csv"
+        header, *rows = path.read_text().splitlines()
+        rows = [row.rsplit(",", 1)[0] + f",{10**308}" if row.startswith("U001,A01S01,")
+                else row for row in rows]
+        rows += [f"U001,A01X99,{year},{10**308}" for year in (2001, 2002, 2003)]
+        path.write_text("\n".join([header] + rows) + "\n")
+        with open(data_dir / "sectors.csv", "a", encoding="utf-8") as fh:
+            fh.write("A01X99,A01\n")
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["all"] + corpus_args(data_dir) + ["--out", str(out)])
+        assert_clean_failure(result)
+        assert result.stderr.splitlines()[-1] == (
+            "error: U001/A01, column 'staff': intermediate overflow in fsum"
+        )
         assert not (out / "run_manifest.json").exists()
 
     def test_area_without_defined_ci_share_warned(self, runner, data_dir, tmp_path):

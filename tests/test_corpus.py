@@ -315,6 +315,19 @@ class TestValidate:
             "for year 2001"
         ]
 
+    def test_infinite_impact_factors_of_both_signs_reported(self, tmp_path):
+        corpus = load_from(write_minimal_files(tmp_path))
+        corpus = dataclasses.replace(
+            corpus, journals={"J1": {2001: float("inf"), 2002: float("-inf"), 2003: 2.6}},
+            publications=(pub_with(), pub_with(pub_id="p2", year=2002)),
+        )
+        messages = [e.describe() for e in validate_corpus(corpus).errors]
+        assert messages == [
+            "[error] journals[J1]: negative or non-finite impact factor inf for year 2001",
+            "[error] journals[J1]: negative or non-finite impact factor -inf for year 2002",
+            "[error] journals: sector 'S1', impact factor mean: -inf + inf in fsum",
+        ]
+
     def test_directly_built_corpus_violations_located(self):
         corpus = Corpus(
             publications=(
@@ -374,6 +387,10 @@ INVARIANT_FAULTS = {
     "headcount": (
         "staff", "university,sds,year,headcount\nUA,S1,2001,-3\n",
         lambda c: dataclasses.replace(c, staff=StaffRoster({("UA", "S1", 2001): -3})),
+    ),
+    "headcount-too-large": (
+        "staff", f"university,sds,year,headcount\nUA,S1,2001,{10**400}\n",
+        lambda c: dataclasses.replace(c, staff=StaffRoster({("UA", "S1", 2001): 10**400})),
     ),
     "staff-year": (
         "staff", "university,sds,year,headcount\nUA,S1,1999,4\n",

@@ -76,7 +76,6 @@ class TestCrossTabFromCounts:
         assert list(table.row_totals.values()) == PUBLISHED_ROW_TOTALS
         assert sum(PUBLISHED_ROW_TOTALS) == PUBLISHED_GRAND_TOTAL
         assert table.grand_total == PUBLISHED_GRAND_TOTAL
-        assert table.marginal_problems() == []
 
     # foreign above extramural (5), and also above the row total (15)
     @pytest.mark.parametrize("foreign", [6, 16])

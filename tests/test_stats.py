@@ -135,20 +135,20 @@ class TestOls:
 class TestWeightedMean:
     def test_undefined_values_skipped_and_weights_renormalized(self):
         terms = [(1.0, 1.0), (None, 5.0), (4.0, 3.0)]
-        assert stats.weighted_mean(terms) == 13.0 / 4.0
+        assert stats.weighted_mean(terms, "terms") == 13.0 / 4.0
 
     def test_nothing_defined_is_undefined(self):
-        assert stats.weighted_mean([]) is None
-        assert stats.weighted_mean([(None, 2.0), (None, 1.0)]) is None
-        assert stats.weighted_mean([(1.0, 0.0), (3.0, 0.0)]) is None
+        assert stats.weighted_mean([], "terms") is None
+        assert stats.weighted_mean([(None, 2.0), (None, 1.0)], "terms") is None
+        assert stats.weighted_mean([(1.0, 0.0), (3.0, 0.0)], "terms") is None
 
     def test_integer_weights_match_float_weights(self):
         rng = random.Random(17)
         for _ in range(200):
             values = [rng.uniform(-5, 5) for _ in range(rng.randint(1, 20))]
             weights = [rng.randint(0, 50) for _ in values]
-            assert stats.weighted_mean(zip(values, weights)) == \
-                stats.weighted_mean(zip(values, map(float, weights)))
+            assert stats.weighted_mean(zip(values, weights), "terms") == \
+                stats.weighted_mean(zip(values, map(float, weights)), "terms")
 
     @given(
         st.lists(
@@ -163,7 +163,7 @@ class TestWeightedMean:
     def test_exact_under_reordering(self, terms, rnd):
         shuffled = list(terms)
         rnd.shuffle(shuffled)
-        assert stats.weighted_mean(shuffled) == stats.weighted_mean(terms)
+        assert stats.weighted_mean(shuffled, "terms") == stats.weighted_mean(terms, "terms")
 
 
 class TestConcentrationIndex:
