@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import stats
-from .corpus import CorpusLoadError, SectorMap, _cell, _parse_numbers, _read_csv, _write_csv
+from .corpus import CorpusLoadError, SectorMap, _cell, _read_stage_table, _write_csv
 from .indicators import IndicatorRecord
 
 PERFORMANCE_INDICATORS = ("P", "FP", "QP", "FQP", "QI")
@@ -68,7 +68,7 @@ class AreaAggregate:
     CI: float | None
     FCI: float | None
     DCI: float | None
-    total_staff: float
+    staff: float
     n_sectors: int
 
 
@@ -149,17 +149,11 @@ def aggregate_area(
             for indicator, column in zip(AREA_INDICATORS, columns)
         }
         try:
-            total_staff = math.fsum(weights)
+            staff = math.fsum(weights)
         except OverflowError as exc:  # also counts cells whose every value is undefined
             raise OverflowError(f"{univ}/{area}, column 'staff': {exc}") from None
         aggregates.append(
-            AreaAggregate(
-                university=univ,
-                area=area,
-                total_staff=total_staff,
-                n_sectors=len(group),
-                **values,
-            )
+            AreaAggregate(university=univ, area=area, staff=staff, n_sectors=len(group), **values)
         )
     return aggregates
 
@@ -169,7 +163,7 @@ def filter_small_universities(
 ) -> FilterResult:
     """Split rows on the staff threshold (strictly below is excluded).
 
-    ``total_staff`` is the sum over the area's sectors of the
+    ``staff`` is the sum over the area's sectors of the
     university's period-average headcount, which is exactly the staff
     measure the exclusion rule is stated on.
     """
@@ -178,7 +172,7 @@ def filter_small_universities(
     kept = []
     excluded = []
     for agg in aggregates:
-        if agg.total_staff < threshold:
+        if agg.staff < threshold:
             excluded.append(agg)
         else:
             kept.append(agg)
@@ -198,9 +192,8 @@ def write_aggregates_csv(result: FilterResult, path) -> None:
     rows = [(agg, "false") for agg in result.kept] + [(agg, "true") for agg in result.excluded]
     rows.sort(key=lambda row: (row[0].university, row[0].area))
     _write_csv(path, AGGREGATES_HEADER, (
-        [agg.university, agg.area]
-        + [_cell(getattr(agg, name)) for name in AREA_INDICATORS]
-        + [repr(agg.total_staff), agg.n_sectors, excluded]
+        [agg.university, agg.area] + [_cell(getattr(agg, name)) for name in _NUMBER_KINDS]
+        + [excluded]
         for agg, excluded in rows
     ))
 
@@ -208,13 +201,8 @@ def write_aggregates_csv(result: FilterResult, path) -> None:
 def read_aggregates_csv(path) -> FilterResult:
     kept = []
     excluded = []
-    seen: set[tuple[str, str]] = set()
-    for lineno, row in _read_csv(path, AGGREGATES_HEADER):
-        if (row[0], row[1]) in seen:
-            raise CorpusLoadError(path, lineno, f"duplicate row for {row[0]}/{row[1]}")
-        seen.add((row[0], row[1]))
-        values = _parse_numbers(path, lineno, _NUMBER_KINDS, row[2:-1])
-        agg = AreaAggregate(row[0], row[1], total_staff=values.pop("staff"), **values)
+    for lineno, row, numbers in _read_stage_table(path, AGGREGATES_HEADER, _NUMBER_KINDS):
+        agg = AreaAggregate(row[0], row[1], *numbers)
         if row[-1] == "true":
             excluded.append(agg)
         elif row[-1] == "false":

@@ -289,7 +289,7 @@ def _aggregate_records(records, sectors, ci_mode: str, threshold: float) -> agg.
     for row in result.excluded:
         click.echo(
             f"excluded {row.university}/{row.area} "
-            f"(area staff {row.total_staff:g} < {threshold:g})"
+            f"(area staff {row.staff:g} < {threshold:g})"
         )
     return result
 

@@ -6,8 +6,8 @@ and by ``validate_corpus``, which also runs ``check_references`` on the
 references across files; a loader does not, so that broken corpora can
 still be inspected.  A checked ``load_corpus`` runs only
 ``check_references``, since its loaders have already checked every record.
-The stage tables (indicators.csv, aggregates.csv) are read by the same
-strict reader.
+The stage tables (indicators.csv, aggregates.csv) share one strict reader,
+``_read_stage_table``.
 """
 
 from __future__ import annotations
@@ -320,6 +320,10 @@ def _publication_problems(pub: Publication, period: tuple[int, int], seen: set[s
                 problems.append(("attributions",
                                  f"duplicate attribution ({att.university}, {att.sds})"))
             pairs.add((att.university, att.sds))
+    for att in pub.attributions:
+        if att.university not in pub.org_ids:
+            problems.append(("attributions", f"attributed university '{att.university}' "
+                                             "missing from organization set"))
     return problems
 
 
@@ -412,10 +416,6 @@ def check_references(corpus: Corpus) -> ValidationReport:
     count) so one broken registry row yields one error.
     """
     issues: list[ValidationIssue] = []
-
-    def error(location: str, message: str):
-        issues.append(ValidationIssue("error", location, message))
-
     # (reference row, faulty key) -> number of records holding the reference
     faults: Counter[tuple[int, tuple]] = Counter()
     pubs_by_org_set: dict[frozenset[str], int] = {}
@@ -439,12 +439,6 @@ def check_references(corpus: Corpus) -> ValidationReport:
         for att in pub.attributions:
             key = (att.university, att.sds)
             attributions[key] = attributions.get(key, 0) + 1
-            if att.university not in pub.org_ids:
-                error(
-                    f"publications[{pub.pub_id}]",
-                    f"attributed university '{att.university}' missing from "
-                    "organization set",
-                )
 
     attributed: Counter[str] = Counter()  # university -> attributions
     for (univ, sds), count in attributions.items():
@@ -478,7 +472,7 @@ def check_references(corpus: Corpus) -> ValidationReport:
         try:
             corpus.normalized_ifs  # cached: the indicators and reports use it next
         except IndicatorError as exc:  # an all-zero or overflowing sector mean
-            error("journals", str(exc))
+            issues.append(ValidationIssue("error", "journals", str(exc)))
     return ValidationReport(issues=tuple(issues))
 
 
@@ -551,27 +545,41 @@ def _cell(value) -> str:
     return "" if value is None else repr(value)
 
 
-def _parse_numbers(path, lineno: int, kinds: Mapping[str, type | None], cells) -> dict:
-    """The numeric cells of one stage-table row by column name (the inverse
-    of ``_cell``).  ``kinds`` maps each column, in row order, to ``int``,
-    ``float`` or ``None`` (a float that may be undefined, written empty).
-    nan, inf and negative numbers are rejected: the writers emit only
-    counts, staff, sums of non-negative terms and ratios of these."""
-    values = {}
-    for (name, kind), cell in zip(kinds.items(), cells):
-        if kind is None and cell == "":
-            values[name] = None
-            continue
-        try:
-            value = (kind or float)(cell)
-        except ValueError:
-            value = math.nan
-        if not 0 <= value < math.inf:
-            if not math.isfinite(value):  # unparsable, nan or inf
-                raise CorpusLoadError(path, lineno, f"column '{name}': not a number: {cell!r}")
-            raise CorpusLoadError(path, lineno, f"column '{name}': negative number: {cell!r}")
-        values[name] = value
-    return values
+def _read_stage_table(path, header: list[str], kinds: Mapping[str, type | None]):
+    """Yield (line_number, row, numbers) for a stage table (indicators.csv,
+    aggregates.csv).  The text cells before the numeric columns are
+    non-empty, and their first two are a key that no row repeats.
+
+    ``kinds`` maps each numeric column, in row order, to ``int``, ``float``
+    or ``None`` (a float that may be undefined, written empty); ``numbers``
+    holds their values in that order (the inverse of ``_cell``).  nan, inf
+    and negative numbers are rejected: the writers emit only counts, staff,
+    sums of non-negative terms and ratios of these."""
+    start = header.index(next(iter(kinds)))
+    numeric = slice(start, start + len(kinds))
+    keys: set[tuple[str, str]] = set()
+    for lineno, row in _read_csv(path, header):
+        for name, cell in zip(header[:start], row):
+            if not cell:
+                raise CorpusLoadError(path, lineno, f"column '{name}': empty")
+        if (row[0], row[1]) in keys:
+            raise CorpusLoadError(path, lineno, f"duplicate row for {row[0]}/{row[1]}")
+        keys.add((row[0], row[1]))
+        numbers = []
+        for (name, kind), cell in zip(kinds.items(), row[numeric]):
+            if kind is None and cell == "":
+                numbers.append(None)
+                continue
+            try:
+                value = (kind or float)(cell)
+            except ValueError:
+                value = math.nan
+            if not 0 <= value < math.inf:
+                if not math.isfinite(value):  # unparsable, nan or inf
+                    raise CorpusLoadError(path, lineno, f"column '{name}': not a number: {cell!r}")
+                raise CorpusLoadError(path, lineno, f"column '{name}': negative number: {cell!r}")
+            numbers.append(value)
+        yield lineno, row, numbers
 
 
 def _raise_first(path, lineno: int, problems: Problems) -> None:
@@ -647,6 +655,8 @@ def load_sectors(path) -> SectorMap:
             raise CorpusLoadError(path, lineno, "empty sds", "sds")
         if sds in entries:
             raise CorpusLoadError(path, lineno, f"duplicate sds '{sds}'", "sds")
+        if not area:
+            raise CorpusLoadError(path, lineno, "empty area", "area")
         entries[sds] = area
     return SectorMap(entries=entries)
 

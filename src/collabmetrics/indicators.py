@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .corpus import CollabProfile, Corpus, CorpusLoadError, IndicatorError, Publication
-from .corpus import SectorMap, _cell, _parse_numbers, _read_csv, _write_csv
+from .corpus import SectorMap, _cell, _read_stage_table, _write_csv
 
 
 @dataclass(slots=True)
@@ -141,17 +141,12 @@ def read_indicators_csv(path) -> tuple[list[IndicatorRecord], SectorMap]:
     """Parse a persisted indicators table back into records plus sector map."""
     records: list[IndicatorRecord] = []
     sector_entries: dict[str, str] = {}
-    seen: set[tuple[str, str]] = set()
-    for lineno, row in _read_csv(path, INDICATORS_HEADER):
-        univ, sds, area = row[0], row[1], row[2]
-        if (univ, sds) in seen:
-            raise CorpusLoadError(path, lineno, f"duplicate row for {univ}/{sds}")
-        seen.add((univ, sds))
+    for lineno, row, numbers in _read_stage_table(path, INDICATORS_HEADER, _VALUE_KINDS):
+        univ, sds, area = row[:3]
         known = sector_entries.setdefault(sds, area)
         if known != area:
             raise CorpusLoadError(
                 path, lineno, f"sds '{sds}' mapped to both '{known}' and '{area}'", "area"
             )
-        values = _parse_numbers(path, lineno, _VALUE_KINDS, row[3:])
-        records.append(IndicatorRecord(university=univ, sds=sds, **values))
+        records.append(IndicatorRecord(univ, sds, *numbers))
     return records, SectorMap(entries=sector_entries)

@@ -37,12 +37,11 @@ class ReportError(Exception):
 class CrossTab:
     """Publication counts by quality quartile and collaboration type.
 
-    Rows are quartiles of the normalized impact factor, worst to best.
+    Rows are ``QUARTILE_LABELS``: normalized impact-factor quartiles, worst to best.
     The foreign and enterprise columns are subsets of the extramural
     column, so row totals are intramural + extramural only.
     """
 
-    rows: tuple[str, ...]
     counts: Mapping[tuple[str, str], int]
     row_totals: Mapping[str, int]
     col_totals: Mapping[str, int]
@@ -96,7 +95,6 @@ class CrossTab:
             for col in COLLAB_COLUMNS
         }
         return cls(
-            rows=QUARTILE_LABELS,
             counts=counts,
             row_totals=row_totals,
             col_totals=col_totals,
@@ -119,6 +117,10 @@ def build_crosstab(corpus: Corpus, quartile_scope: str = "global") -> CrossTab:
     pubs = corpus.publications
     nif_by_sds = corpus.normalized_ifs
     if quartile_scope == "global":
+        if len(pubs) < 4:
+            raise ReportError(
+                f"corpus has {len(pubs)} publications; global quartiles need at least 4"
+            )
         values = []
         for pub in pubs:
             key = (pub.journal_id, pub.year)
@@ -245,22 +247,26 @@ def _area_profile_weighted(
 # Sector-level pooled metrics (dispersion and top-sector tables)
 
 
-def _pooled_sds_metric(
-    records: Iterable[IndicatorRecord], metric: str
-) -> dict[str, tuple[float, int]]:
-    """Output-weighted pooled (value, output) of a share metric per sector.
+def _sector_shares(
+    records: Iterable[IndicatorRecord], sectors, metric: str
+) -> dict[str, list[tuple[str, float, int]]]:
+    """Per area of ``sectors``, the (sds, value, output) of each sector whose
+    output-weighted pooled ``metric`` is defined.
 
-    The output is the integer count behind the defined values.
+    The output is the integer count behind the defined values.  Sectors
+    are pooled in order of first appearance, so an overflow names the
+    first sector that overflows.
     """
     terms: dict[str, list[tuple[float | None, int]]] = {}
     for rec in records:
         terms.setdefault(rec.sds, []).append((getattr(rec, metric), rec.O))
-    pooled = {}
+    shares: dict[str, list[tuple[str, float, int]]] = {area: [] for area in sectors.areas()}
     for sds, pairs in terms.items():
         value = stats.weighted_mean(pairs, f"sector '{sds}', column '{metric}'")
         if value is not None:
-            pooled[sds] = (value, sum(o for v, o in pairs if v is not None))
-    return pooled
+            output = sum(o for v, o in pairs if v is not None)
+            shares[sectors.area_of(sds)].append((sds, value, output))
+    return shares
 
 
 @dataclass(frozen=True)
@@ -277,14 +283,13 @@ def build_dispersion_table(
     Returns the rows plus warnings for areas with no sector values
     (those areas are omitted).
     """
-    pooled = _pooled_sds_metric(records, "CI_share")
     rows = []
     warnings = []
-    for area in sectors.areas():
-        values = [pooled[sds][0] for sds in sectors.sds_in_area(area) if sds in pooled]
-        if not values:
+    for area, shares in _sector_shares(records, sectors, "CI_share").items():
+        if not shares:
             warnings.append(f"area '{area}' has no sectors with defined CI_share")
             continue
+        values = [value for _sds, value, _output in shares]
         rows.append(DispersionRow(area=area, summary=stats.descriptive(values)))
     return rows, warnings
 
@@ -310,17 +315,9 @@ def build_top_sector_table(
     """
     if top_n < 1:
         raise ReportError(f"top_n must be at least 1, got {top_n}")
-    pooled = _pooled_sds_metric(records, metric)
     rows = []
-    for area in sectors.areas():
-        ranked = sorted(
-            (
-                (sds,) + pooled[sds]
-                for sds in sectors.sds_in_area(area)
-                if sds in pooled
-            ),
-            key=lambda item: (-item[1], -item[2], item[0]),
-        )
+    for area, shares in _sector_shares(records, sectors, metric).items():
+        ranked = sorted(shares, key=lambda item: (-item[1], -item[2], item[0]))
         area_output = sum(output for _sds, _value, output in ranked)
         for sds, value, output in ranked[:top_n]:
             rows.append(
@@ -371,20 +368,17 @@ def build_correlation_table(
         xs = [getattr(agg, collab_metric) for agg in group]
         for indicator in PERFORMANCE_INDICATORS:
             ys = [getattr(agg, indicator) for agg in group]
-            pairs = stats.clean_pairs(xs, ys)
-            if len(pairs) < 3:
-                notes[(indicator, area)] = f"insufficient data (n={len(pairs)})"
-                continue
             try:
                 result = stats.associate(xs, ys)
             except OverflowError as exc:  # finite values too large to square
                 raise OverflowError(
                     f"area '{area}', {indicator} against {collab_metric}: {exc}"
                 ) from None
-            if result is None:
-                notes[(indicator, area)] = "zero variance"
+            if result is not None:
+                cells[(indicator, area)] = result
                 continue
-            cells[(indicator, area)] = result
+            n = len(stats.clean_pairs(xs, ys))
+            notes[(indicator, area)] = "zero variance" if n >= 3 else f"insufficient data (n={n})"
     return CorrelationTable(areas=tuple(sorted(by_area)), cells=cells, notes=notes)
 
 
@@ -405,7 +399,7 @@ def emit_crosstab(table: CrossTab, path) -> None:
         header += [col, f"{col}_cidx"]
     header.append("total")
     rows = []
-    for label in table.rows:
+    for label in QUARTILE_LABELS:
         row = [label]
         for col in COLLAB_COLUMNS:
             row.append(table.counts[(label, col)])

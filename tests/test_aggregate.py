@@ -206,7 +206,7 @@ class TestExclusion:
                 corpus.staff.period_average(agg.university, sds, corpus.period)
                 for sds in corpus.sectors.sds_in_area(agg.area)
             )
-            assert agg.total_staff == expected
+            assert agg.staff == expected
 
     def test_threshold_must_be_positive(self):
         for threshold in (0.0, math.nan, math.inf):  # positive and finite

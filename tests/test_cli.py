@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from click.testing import CliRunner
 
 from collabmetrics.cli import cli
 from collabmetrics.synth import SynthParams, generate_corpus, write_synthetic
+from golden.update import INPUT as GOLDEN_INPUT
 
 PIPELINE_OUTPUTS = (
     "indicators.csv",
@@ -202,7 +204,6 @@ class TestValidateCommand:
                 pub("p6", ["UA"], [("UA", "S1")], journal="J2", year=2003),
                 pub("p7", ["UA", "UB"], [("UA", "S1"), ("UB", "S1")]),
                 pub("p8", ["UA", "D1"], [("D1", "S1")]),
-                pub("p9", ["UA"], [("UB", "S1")]),
                 pub("p10", ["UA", "GHOST"], [("UA", "S1")]),
             ],
             "organizations.csv": ["org_id,name,class,country", "UA,A,UNIV_DOMESTIC,IT",
@@ -216,7 +217,6 @@ class TestValidateCommand:
         result = runner.invoke(cli, ["validate"] + corpus_args(tmp_path))
         assert result.exit_code == 1
         assert result.stdout.splitlines() == [
-            "[error] publications[p9]: attributed university 'UB' missing from organization set",
             "[error] journals[J9]: dangling journal_id referenced by 1 publication(s)",
             "[error] organizations[GHOST]: dangling org_id referenced by 2 publication(s)",
             "[error] organizations[UZ]: dangling org_id referenced by 1 publication(s)",
@@ -226,9 +226,9 @@ class TestValidateCommand:
             "[error] sectors[S9]: dangling sds referenced by 1 record(s)",
             "[error] journals[J2]: missing impact factor for year 2003 (1 publication(s))",
             "[warning] staff[D1,S1]: attribution without roster entry (1 publication(s))",
-            "[warning] staff[UB,S1]: attribution without roster entry (2 publication(s))",
+            "[warning] staff[UB,S1]: attribution without roster entry (1 publication(s))",
             "[warning] staff[UZ,S1]: attribution without roster entry (1 publication(s))",
-            "9 error(s), 3 warning(s) in 10 publication(s)",
+            "8 error(s), 3 warning(s) in 9 publication(s)",
         ]
 
     def test_wrongly_classed_attribution_reported_once_per_organization(self, runner, tmp_path):
@@ -258,6 +258,113 @@ class TestValidateCommand:
             )
             assert result.exit_code == 2
             assert "YYYY" in result.output
+
+
+def _replace(lineno: int, line: str):
+    """An edit of a file's lines that replaces line ``lineno`` (1-based)."""
+    return lambda lines: lines[:lineno - 1] + [line] + lines[lineno:]
+
+
+def _repeat(lineno: int):
+    """An edit that repeats line ``lineno`` right after it."""
+    return lambda lines: lines[:lineno] + lines[lineno - 1:]
+
+
+def _first_publication(**changes):
+    """An edit of the first publication line: a None value drops the field."""
+    def edit(lines):
+        obj = {**json.loads(lines[0]), **changes}
+        return [json.dumps({k: v for k, v in obj.items() if v is not None})] + lines[1:]
+    return edit
+
+
+# each rejection of a loader, on the golden corpus or its indicators.csv:
+# (file, edit of its lines, line, message)
+LOADER_REJECTIONS = {
+    "missing-header": ("organizations.csv", lambda lines: [], 1, "missing header row"),
+    "field-count": ("staff.csv", _replace(2, "U001,A01S01,2001,2,7"), 2,
+                    "expected 4 fields, got 5"),
+    "not-an-integer": ("staff.csv", _replace(2, "U001,A01S01,20x1,2"), 2,
+                       "field 'year': not an integer: '20x1'"),
+    "empty-org_id": ("organizations.csv", _replace(2, ",Nameless,DPR_DOMESTIC,IT"), 2,
+                     "field 'org_id': empty org_id"),
+    "duplicate-org_id": ("organizations.csv", _repeat(2), 3,
+                         "field 'org_id': duplicate org_id 'DPR01'"),
+    "empty-journal_id": ("journals.csv", _replace(2, ",2001,0.4011"), 2,
+                         "field 'journal_id': empty journal_id"),
+    "impact-not-a-number": ("journals.csv", _replace(2, "A01S01J1,2001,high"), 2,
+                            "field 'impact_factor': not a number: 'high'"),
+    # a duplicate only once the year is parsed
+    "duplicate-journal-year": ("journals.csv",
+                               lambda lines: lines[:2] + ["A01S01J1,02001,0.5"] + lines[2:], 3,
+                               "duplicate row for journal 'A01S01J1' year 2001"),
+    "duplicate-staff-row": ("staff.csv", _repeat(2), 3,
+                            "duplicate staff row for U001/A01S01/2001"),
+    "empty-sds": ("sectors.csv", _replace(2, ",A01"), 2, "field 'sds': empty sds"),
+    "duplicate-sds": ("sectors.csv", _repeat(2), 3, "field 'sds': duplicate sds 'A01S01'"),
+    "empty-area": ("sectors.csv", _replace(2, "A01S01,"), 2, "field 'area': empty area"),
+    "missing-field": ("publications.jsonl", _first_publication(journal=None), 1,
+                      "field 'journal': missing field"),
+    "empty-id": ("publications.jsonl", _first_publication(id=""), 1,
+                 "field 'id': must be a non-empty string"),
+    "journal-not-a-string": ("publications.jsonl", _first_publication(journal=7), 1,
+                             "field 'journal': must be a non-empty string"),
+    "orgs-not-a-list": ("publications.jsonl", _first_publication(orgs="U001"), 1,
+                        "field 'orgs': must be a list of strings"),
+    "attributions-not-a-list": ("publications.jsonl",
+                                _first_publication(attributions={"university": "U001"}), 1,
+                                "field 'attributions': must be a list"),
+    "sds-in-two-areas": ("indicators.csv",
+                         # a new university's copy of the first row, in another area
+                         lambda lines: lines[:2] + [lines[1].replace("U001,A01S01,A01,",
+                                                                     "U999,A01S01,A99,")]
+                         + lines[2:], 3,
+                         "field 'area': sds 'A01S01' mapped to both 'A01' and 'A99'"),
+}
+
+
+def _golden_copy(tmp_path, name="corpus"):
+    corpus = tmp_path / name
+    shutil.copytree(GOLDEN_INPUT, corpus)
+    return corpus
+
+
+class TestLoaderRejections:
+    @pytest.mark.parametrize("name,edit,line,message", LOADER_REJECTIONS.values(),
+                             ids=LOADER_REJECTIONS.keys())
+    def test_rejection_names_file_line_and_field(self, runner, tmp_path, name, edit, line,
+                                                 message):
+        corpus = _golden_copy(tmp_path)
+        if name == "indicators.csv":
+            staged = tmp_path / "staged"
+            result = runner.invoke(cli, ["indicators"] + corpus_args(corpus)
+                                   + ["--out", str(staged)])
+            assert result.exit_code == 0, result.output
+            path = staged / name
+            argv = ["aggregate", "--indicators", str(path), "--out", str(tmp_path / "out")]
+        else:
+            path = corpus / name
+            argv = ["validate"] + corpus_args(corpus)
+        lines = edit(path.read_text(encoding="utf-8").splitlines())
+        path.write_text("".join(row + "\n" for row in lines), encoding="utf-8")
+        result = runner.invoke(cli, argv)
+        assert_clean_failure(result)
+        assert result.stderr == f"error: {path}:{line}: {message}\n"
+
+    def test_blank_lines_skipped(self, runner, tmp_path):
+        blank = _golden_copy(tmp_path, "blank")
+        for name in ("staff.csv", "publications.jsonl"):
+            first, *rest = (blank / name).read_text(encoding="utf-8").splitlines(keepends=True)
+            (blank / name).write_text("".join([first, "\n", *rest, "\n"]), encoding="utf-8")
+        runs = []
+        for corpus in (_golden_copy(tmp_path), blank):
+            out = tmp_path / f"out-{corpus.name}"
+            result = runner.invoke(cli, ["all"] + corpus_args(corpus) + ["--out", str(out)])
+            assert result.exit_code == 0, result.output
+            tree = read_tree(out)
+            del tree["run_manifest.json"]  # it holds the input digests
+            runs.append((tree, result.output.replace(str(out), "OUT")))
+        assert runs[0] == runs[1]
 
 
 class TestSynthCommand:
@@ -528,6 +635,10 @@ class TestPipeline:
                      "field larger than field limit (131072)", id="aggregate-oversized-field"),
         pytest.param("correlate", "university", "aggregates.csv", b"U" * 131073,
                      "field larger than field limit (131072)", id="correlate-oversized-field"),
+        pytest.param("aggregate", "area", "indicators.csv", b"", "column 'area': empty",
+                     id="aggregate-empty-area"),
+        pytest.param("correlate", "university", "aggregates.csv", b"",
+                     "column 'university': empty", id="correlate-empty-university"),
     ])
     def test_malformed_stage_input_reports_location(
         self, runner, data_dir, tmp_path, command, column, table, cell, message
@@ -758,6 +869,17 @@ class TestPipeline:
         assert_clean_failure(result)
         assert "per-sector quartiles need at least 4" in result.output
         assert not (out / "run_manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["all", "report"])
+    def test_global_quartiles_need_four_publications(self, runner, data_dir, tmp_path, command):
+        path = data_dir / "publications.jsonl"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:3]))
+        result = runner.invoke(cli, [command] + corpus_args(data_dir)
+                               + ["--out", str(tmp_path / "out")])
+        assert_clean_failure(result)
+        assert result.stderr.splitlines()[-1] == (
+            "error: corpus has 3 publications; global quartiles need at least 4"
+        )
 
     @pytest.mark.parametrize("case", ["success", "error-exit", "caller-disabled"])
     def test_gc_paused_for_the_command(self, runner, tmp_path, monkeypatch, case):

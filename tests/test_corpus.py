@@ -416,6 +416,11 @@ INVARIANT_FAULTS = {
         "pubs", [{**PUB_LINE, "attributions": PUB_LINE["attributions"] * 2}],
         lambda c: dataclasses.replace(c, publications=(pub_with(attributions=(ATT, ATT)),)),
     ),
+    "attributed-university": (
+        "pubs", [{**PUB_LINE, "attributions": [{"university": "UB", "sds": "S1"}]}],
+        lambda c: dataclasses.replace(
+            c, publications=(pub_with(attributions=(Attribution("UB", "S1"),)),)),
+    ),
 }
 
 

@@ -23,6 +23,7 @@ from collabmetrics.indicators import compute_indicators
 from collabmetrics.reports import (
     AREA_SHARES,
     COLLAB_COLUMNS,
+    QUARTILE_LABELS,
     CrossTab,
     ReportError,
     build_area_profile,
@@ -63,7 +64,7 @@ PUBLISHED_GRAND_TOTAL = 53420
 class TestCrossTabFromCounts:
     def test_reproduces_published_concentration_indices(self):
         table = CrossTab.from_counts(PUBLISHED_COUNTS)
-        for label, expected_row in zip(table.rows, PUBLISHED_CIDX):
+        for label, expected_row in zip(QUARTILE_LABELS, PUBLISHED_CIDX):
             for col, expected in zip(
                 ("intramural", "extramural", "foreign", "enterprise"), expected_row
             ):
@@ -92,7 +93,7 @@ class TestCrossTabFromCounts:
                 table.concentration[(label, col)]
                 * table.row_totals[label]
                 / table.grand_total
-                for label in table.rows
+                for label in QUARTILE_LABELS
             )
             assert mean == pytest.approx(1.0, abs=1e-9)
 
@@ -121,7 +122,7 @@ class TestBuildCrossTab:
         table = build_crosstab(intramural_corpus())
         assert table.col_totals["extramural"] == 0
         assert table.col_totals["intramural"] == table.grand_total == 8
-        for label in table.rows:
+        for label in QUARTILE_LABELS:
             if table.row_totals[label] > 0:
                 assert table.concentration[(label, "intramural")] == pytest.approx(1.0)
                 assert table.concentration[(label, "extramural")] is None
@@ -167,7 +168,7 @@ class TestBuildCrossTab:
                     continue
                 table = build_crosstab(corpus, quartile_scope=scope)
                 assert [[table.counts[(label, col)] for col in COLLAB_COLUMNS]
-                        for label in table.rows] == expected
+                        for label in QUARTILE_LABELS] == expected
                 compared[scope] += 1
         assert min(compared.values()) >= 20 and multi_sector > 0, (compared, multi_sector)
 
@@ -365,7 +366,7 @@ class TestTopSectors:
 def make_aggregate(univ, ci, p):
     return AreaAggregate(
         university=univ, area="A1", P=p, FP=None, QP=None, FQP=None, QI=None,
-        CI=ci, FCI=None, DCI=None, total_staff=10.0, n_sectors=1,
+        CI=ci, FCI=None, DCI=None, staff=10.0, n_sectors=1,
     )
 
 
