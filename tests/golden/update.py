@@ -14,9 +14,10 @@ the stdout lines (which name their outputs) do not depend on where the
 repository lives.
 
 ``input/`` was written once and is never regenerated, so a deliberate
-change to ``synth`` does not move it.  It is synth seed 7 with the
-co-authoring transform of ``benchmarks/inputs.py`` (318 publications,
-30% of them credited to two sectors, 25% to two or more universities)::
+change to ``synth`` moves only the ``synth`` case's digests.  The corpus
+is synth seed 7 with the co-authoring transform of ``benchmarks/inputs.py``
+(318 publications, 30% of them credited to two sectors, 25% to two or
+more universities)::
 
     params = SynthParams(seed=7, n_universities=8, n_areas=3, sds_per_area=4,
                          staff_range=(0, 6), pubs_per_staff_mean=1.2,
@@ -26,6 +27,10 @@ co-authoring transform of ``benchmarks/inputs.py`` (318 publications,
 U008's override puts each of its areas at 4 staff, under the default
 threshold, so every run excludes three rows; nine sectors have a zero
 mean DCI, and several cells have an undefined P.
+
+The ``synth`` case runs the generator on ``input/synth-params.json``:
+these parameters over two years, with a stronger foreign propensity in
+A02 and a planted ``CI_share`` association in A01 (330 publications).
 """
 
 from __future__ import annotations
@@ -72,6 +77,8 @@ COMMANDS = {
                     "--out", "out/correlate-8"],
     "report": ["report", *CORPUS, "--out", "out/report"],
     "report-flags": ["report", *CORPUS, "--out", "out/report-flags", *FLAGS],
+    "synth": ["synth", "--seed", "7", "--params", "input/synth-params.json",
+              "--out", "out/synth"],
 }
 
 
