@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 from . import stats
@@ -182,9 +182,9 @@ def filter_small_universities(
 # ---------------------------------------------------------------------------
 # Persistence (full precision; usable as a stage input)
 
-_NUMBER_KINDS = dict.fromkeys(AREA_INDICATORS) | {"staff": float, "n_sectors": int}
+_VALUE_COLUMNS = [field.name for field in fields(AreaAggregate)[2:]]  # after the row key
 
-AGGREGATES_HEADER = ["university", "area", *_NUMBER_KINDS, "excluded"]
+AGGREGATES_HEADER = ["university", "area", *_VALUE_COLUMNS, "excluded"]
 
 
 def write_aggregates_csv(result: FilterResult, path) -> None:
@@ -192,7 +192,7 @@ def write_aggregates_csv(result: FilterResult, path) -> None:
     rows = [(agg, "false") for agg in result.kept] + [(agg, "true") for agg in result.excluded]
     rows.sort(key=lambda row: (row[0].university, row[0].area))
     _write_csv(path, AGGREGATES_HEADER, (
-        [agg.university, agg.area] + [_cell(getattr(agg, name)) for name in _NUMBER_KINDS]
+        [agg.university, agg.area] + [_cell(getattr(agg, name)) for name in _VALUE_COLUMNS]
         + [excluded]
         for agg, excluded in rows
     ))
@@ -201,8 +201,7 @@ def write_aggregates_csv(result: FilterResult, path) -> None:
 def read_aggregates_csv(path) -> FilterResult:
     kept = []
     excluded = []
-    for lineno, row, numbers in _read_stage_table(path, AGGREGATES_HEADER, _NUMBER_KINDS):
-        agg = AreaAggregate(row[0], row[1], *numbers)
+    for lineno, row, agg in _read_stage_table(path, AGGREGATES_HEADER, AreaAggregate):
         if row[-1] == "true":
             excluded.append(agg)
         elif row[-1] == "false":

@@ -112,10 +112,10 @@ aggregate_options = (
 )
 
 report_options = (
-    click.option("--quartile-scope", type=click.Choice(["global", "per-sector"]),
+    click.option("--quartile-scope", type=click.Choice(list(reports.QUARTILE_SCOPES)),
                  default="global", show_default=True,
                  help="impact-factor quartiles over all publications or within each sector"),
-    click.option("--table2-mode", type=click.Choice(["pooled", "weighted"]),
+    click.option("--table2-mode", type=click.Choice(list(reports.AREA_PROFILE_MODES)),
                  default="pooled", show_default=True,
                  help="area profile from pooled publications or staff-weighted cells"),
     click.option("--top", "top_n", type=click.IntRange(min=1), default=1, show_default=True,

@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, get_type_hints
 
 
 class CorpusError(Exception):
@@ -88,8 +88,12 @@ class Publication:
     org_ids: frozenset[str]
     attributions: tuple[Attribution, ...]
 
-    def sds_codes(self) -> set[str]:
-        return {a.sds for a in self.attributions}
+    def sds_codes(self) -> tuple[str, ...]:
+        """The distinct sectors the publication credits, sorted."""
+        atts = self.attributions
+        if len(atts) == 1:
+            return (atts[0].sds,)
+        return tuple(sorted({a.sds for a in atts}))
 
 
 @dataclass(frozen=True)
@@ -169,8 +173,7 @@ class Corpus:
         credits), sectors in order of first appearance."""
         out: dict[str, list[Publication]] = {}
         for pub in self.publications:
-            atts = pub.attributions
-            for sds in (atts[0].sds,) if len(atts) == 1 else sorted(pub.sds_codes()):
+            for sds in pub.sds_codes():
                 out.setdefault(sds, []).append(pub)
         return out
 
@@ -418,8 +421,10 @@ def check_references(corpus: Corpus) -> ValidationReport:
     issues: list[ValidationIssue] = []
     # (reference row, faulty key) -> number of records holding the reference
     faults: Counter[tuple[int, tuple]] = Counter()
-    pubs_by_org_set: dict[frozenset[str], int] = {}
-    attributions: dict[tuple[str, str], int] = {}  # (university, sds) -> count
+    pubs = corpus.publications
+    pubs_by_org_set = Counter([pub.org_ids for pub in pubs])
+    # (university, sds) -> attributions
+    attributions = Counter([(att.university, att.sds) for pub in pubs for att in pub.attributions])
     roster_pairs = corpus.staff.pairs()
     organizations, sectors = corpus.organizations, corpus.sectors.entries
 
@@ -427,18 +432,12 @@ def check_references(corpus: Corpus) -> ValidationReport:
         if sds not in sectors:
             faults[_SDS, (sds,)] += 1
 
-    for pub in corpus.publications:
+    for pub in pubs:
         impacts = corpus.journals.get(pub.journal_id)
         if impacts is None:
             faults[_JOURNAL, (pub.journal_id,)] += 1
         elif pub.year not in impacts:
             faults[_IMPACT, (pub.journal_id, pub.year)] += 1
-
-        pubs_by_org_set[pub.org_ids] = pubs_by_org_set.get(pub.org_ids, 0) + 1
-
-        for att in pub.attributions:
-            key = (att.university, att.sds)
-            attributions[key] = attributions.get(key, 0) + 1
 
     attributed: Counter[str] = Counter()  # university -> attributions
     for (univ, sds), count in attributions.items():
@@ -545,16 +544,19 @@ def _cell(value) -> str:
     return "" if value is None else repr(value)
 
 
-def _read_stage_table(path, header: list[str], kinds: Mapping[str, type | None]):
-    """Yield (line_number, row, numbers) for a stage table (indicators.csv,
+def _read_stage_table(path, header: list[str], row_type: type):
+    """Yield (line_number, row, record) for a stage table (indicators.csv,
     aggregates.csv).  The text cells before the numeric columns are
     non-empty, and their first two are a key that no row repeats.
 
-    ``kinds`` maps each numeric column, in row order, to ``int``, ``float``
-    or ``None`` (a float that may be undefined, written empty); ``numbers``
-    holds their values in that order (the inverse of ``_cell``).  nan, inf
-    and negative numbers are rejected: the writers emit only counts, staff,
-    sums of non-negative terms and ratios of these."""
+    ``record`` is a ``row_type`` built from that key and the numeric
+    columns: the fields after its two key fields, in row order, each
+    annotated ``int``, ``float`` or ``float | None`` (undefined, written
+    empty; the inverse of ``_cell``).  nan, inf and negative numbers are
+    rejected: the writers emit only counts, staff, sums of non-negative
+    terms and ratios of these."""
+    kinds = {name: kind if kind in (int, float) else None
+             for name, kind in list(get_type_hints(row_type).items())[2:]}
     start = header.index(next(iter(kinds)))
     numeric = slice(start, start + len(kinds))
     keys: set[tuple[str, str]] = set()
@@ -579,7 +581,7 @@ def _read_stage_table(path, header: list[str], kinds: Mapping[str, type | None])
                     raise CorpusLoadError(path, lineno, f"column '{name}': not a number: {cell!r}")
                 raise CorpusLoadError(path, lineno, f"column '{name}': negative number: {cell!r}")
             numbers.append(value)
-        yield lineno, row, numbers
+        yield lineno, row, row_type(row[0], row[1], *numbers)
 
 
 def _raise_first(path, lineno: int, problems: Problems) -> None:

@@ -124,10 +124,6 @@ _VALUE_COLUMNS = [field.name for field in fields(IndicatorRecord)[2:]]  # after 
 
 INDICATORS_HEADER = ["university", "sds", "area", *_VALUE_COLUMNS]
 
-_VALUE_KINDS = dict.fromkeys(_VALUE_COLUMNS) | {
-    "O": int, "FO": float, "SS": float, "FSS": float, "staff": float,
-}
-
 
 def write_indicators_csv(records: list[IndicatorRecord], sectors: SectorMap, path) -> None:
     _write_csv(path, INDICATORS_HEADER, (
@@ -141,12 +137,12 @@ def read_indicators_csv(path) -> tuple[list[IndicatorRecord], SectorMap]:
     """Parse a persisted indicators table back into records plus sector map."""
     records: list[IndicatorRecord] = []
     sector_entries: dict[str, str] = {}
-    for lineno, row, numbers in _read_stage_table(path, INDICATORS_HEADER, _VALUE_KINDS):
-        univ, sds, area = row[:3]
+    for lineno, row, record in _read_stage_table(path, INDICATORS_HEADER, IndicatorRecord):
+        sds, area = row[1:3]
         known = sector_entries.setdefault(sds, area)
         if known != area:
             raise CorpusLoadError(
                 path, lineno, f"sds '{sds}' mapped to both '{known}' and '{area}'", "area"
             )
-        records.append(IndicatorRecord(univ, sds, *numbers))
+        records.append(record)
     return records, SectorMap(entries=sector_entries)

@@ -19,6 +19,8 @@ from .corpus import Corpus, _write_csv
 from .indicators import IndicatorRecord
 
 QUARTILE_LABELS = ("0-25", "26-50", "51-75", "76-100")  # worst -> best
+QUARTILE_SCOPES = ("global", "per-sector")
+AREA_PROFILE_MODES = ("pooled", "weighted")
 COLLAB_COLUMNS = ("intramural", "extramural", "foreign", "enterprise")
 # AreaProfileRow share -> the IndicatorRecord field its weighted mode averages
 AREA_SHARES = {"CI": "CI_share", "CI_UNI": "CI_UNI", "CI_DPR": "CI_DPR",
@@ -111,7 +113,7 @@ def build_crosstab(corpus: Corpus, quartile_scope: str = "global") -> CrossTab:
     ``per-sector`` bins each publication within its first attribution's
     sector.
     """
-    if quartile_scope not in ("global", "per-sector"):
+    if quartile_scope not in QUARTILE_SCOPES:
         raise ReportError(f"unknown quartile_scope '{quartile_scope}'")
 
     pubs = corpus.publications
@@ -124,12 +126,10 @@ def build_crosstab(corpus: Corpus, quartile_scope: str = "global") -> CrossTab:
         values = []
         for pub in pubs:
             key = (pub.journal_id, pub.year)
-            atts = pub.attributions
-            if len(atts) == 1:  # the mean of one value is the value
-                values.append(nif_by_sds[atts[0].sds][key])
+            codes = pub.sds_codes()
+            if len(codes) == 1:  # the mean of one value is the value
+                values.append(nif_by_sds[codes[0]][key])
             else:
-                # fsum is exact, so the set's iteration order cannot change the mean
-                codes = pub.sds_codes()
                 values.append(math.fsum([nif_by_sds[s][key] for s in codes]) / len(codes))
         bins = stats.quartile_bins(values)
     else:
@@ -192,7 +192,7 @@ def build_area_profile(
         return _area_profile_pooled(corpus)
     if mode == "weighted":
         return _area_profile_weighted(corpus, records)
-    raise ReportError(f"unknown area profile mode '{mode}' (use pooled|weighted)")
+    raise ReportError(f"unknown area profile mode '{mode}' (use {'|'.join(AREA_PROFILE_MODES)})")
 
 
 def _area_profile_pooled(corpus: Corpus) -> list[AreaProfileRow]:
@@ -269,29 +269,23 @@ def _sector_shares(
     return shares
 
 
-@dataclass(frozen=True)
-class DispersionRow:
-    area: str
-    summary: stats.Descriptives  # over the area's sectors with a defined value
-
-
 def build_dispersion_table(
     records: list[IndicatorRecord], sectors
-) -> tuple[list[DispersionRow], list[str]]:
-    """Descriptive statistics of the sector-level pooled CI_share per area.
+) -> tuple[dict[str, stats.Descriptives], list[str]]:
+    """Descriptive statistics of the sector-level pooled CI_share per area,
+    over the area's sectors with a defined value.
 
-    Returns the rows plus warnings for areas with no sector values
+    Returns them by area plus warnings for areas with no sector values
     (those areas are omitted).
     """
-    rows = []
+    table = {}
     warnings = []
     for area, shares in _sector_shares(records, sectors, "CI_share").items():
         if not shares:
             warnings.append(f"area '{area}' has no sectors with defined CI_share")
             continue
-        values = [value for _sds, value, _output in shares]
-        rows.append(DispersionRow(area=area, summary=stats.descriptive(values)))
-    return rows, warnings
+        table[area] = stats.descriptive([value for _sds, value, _output in shares])
+    return table, warnings
 
 
 @dataclass(frozen=True)
@@ -421,13 +415,12 @@ def emit_area_profile(rows: list[AreaProfileRow], path) -> None:
     ))
 
 
-def emit_dispersion(rows: list[DispersionRow], path) -> None:
+def emit_dispersion(table: Mapping[str, stats.Descriptives], path) -> None:
     pcts = ("mean", "median", "min", "max", "std")  # Descriptives fields written as percent
     header = ["area", "n_sds"] + [f"{name}_pct" for name in pcts] + ["cv"]
     _write_csv(path, header, (
-        [r.area, r.summary.n] + [_fmt_pct(getattr(r.summary, name)) for name in pcts]
-        + [_fmt_stat(r.summary.cv)]
-        for r in rows
+        [area, d.n] + [_fmt_pct(getattr(d, name)) for name in pcts] + [_fmt_stat(d.cv)]
+        for area, d in table.items()
     ))
 
 

@@ -248,15 +248,15 @@ def load_params(seed: int, params_path: Path | None) -> SynthParams:
     return _from_json({"seed": seed} | raw, SynthParams, "")
 
 
-_JSON_SCALARS = {int: (int, "an integer"), float: ((int, float), "a finite number"),
+_JSON_SCALARS = {int: (int, "an integer"), float: ((int, float), "a number"),
                  str: (str, "a string")}
 
 
 def _from_json(value, kind, key: str):
     """``value``, read from JSON, as a ``kind``: a dataclass or ``dict[str, T]``
     from an object, a tuple from a list, else an int, float or str.  A value
-    of the wrong type, a non-finite number, or a missing or unknown field
-    fails naming its key."""
+    of the wrong type, or a missing or unknown field, fails naming its key
+    (``_check_params`` rejects a non-finite number, which JSON allows)."""
     origin, args = typing.get_origin(kind), typing.get_args(kind)
     if is_dataclass(kind) or origin is dict:
         if not isinstance(value, dict):
@@ -278,8 +278,7 @@ def _from_json(value, kind, key: str):
             raise SynthParamsError(f"{key} must be a JSON list")
         return tuple(_from_json(v, args[0], f"{key}[{i}]") for i, v in enumerate(value))
     accepted, what = _JSON_SCALARS[kind]
-    if (isinstance(value, bool) or not isinstance(value, accepted)
-            or kind is float and not math.isfinite(value)):  # JSON allows NaN, Infinity
+    if isinstance(value, bool) or not isinstance(value, accepted):
         raise SynthParamsError(f"{key} must be {what}, got {value!r}")
     return value
 
@@ -314,13 +313,6 @@ def _planted_drivers(
     multipliers = [min(max(1.0 + Y_AMPLITUDE * v, 0.15), 1.85) for v in y]
     fit = associate(shares, multipliers)  # None if clipping left a side constant
     return dict(zip(universities, shares)), dict(zip(universities, multipliers)), fit and fit.r
-
-
-def _fallback_class(base: Propensities, n_universities: int) -> str:
-    """Partner class forced onto a quota-extramural publication that drew
-    no class at all: the available class with the highest propensity."""
-    available = [c for c in CLASS_ORDER if c != "other_university" or n_universities >= 2]
-    return max(available, key=lambda c: (getattr(base, c), -CLASS_ORDER.index(c)))
 
 
 def _quota(rng: random.Random, n: int, q: float) -> list[bool]:
@@ -430,10 +422,10 @@ def generate_corpus(params: SynthParams) -> SynthResult:
                     extramural = _quota(rng, n, shares[univ])
                     for name in CLASS_ORDER:
                         w = min(getattr(base, name) / X_CENTER, 1.0)
-                        if name == "other_university" and no_peers:
-                            w = 0.0
                         flags[name] = [e and rng.random() < w for e in extramural]
-                    fallback = flags[_fallback_class(base, params.n_universities)]
+                    # a quota-extramural publication that drew no class gets the first class
+                    # of highest propensity (planting needs 3 universities: every class has peers)
+                    fallback = flags[max(CLASS_ORDER, key=lambda c: getattr(base, c))]
                     for i, e in enumerate(extramural):
                         if e and not any(flags[name][i] for name in CLASS_ORDER):
                             fallback[i] = True

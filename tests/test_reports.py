@@ -276,12 +276,12 @@ class TestDispersion:
     def test_single_sector_area(self):
         corpus = profile_corpus()
         records = compute_indicators(corpus)
-        rows, warnings = build_dispersion_table(records, corpus.sectors)
+        table, warnings = build_dispersion_table(records, corpus.sectors)
         assert warnings == []
-        row = rows[0]
-        assert row.summary.n == 1
-        assert row.summary.mean == row.summary.median == row.summary.min == row.summary.max
-        assert row.summary.std == 0.0
+        summary = next(iter(table.values()))
+        assert summary.n == 1
+        assert summary.mean == summary.median == summary.min == summary.max
+        assert summary.std == 0.0
 
     def test_order_statistics(self):
         d = stats.descriptive([55.6, 70.0, 77.1])
