@@ -9,9 +9,10 @@ valid stage inputs for partial reruns.
 Commands let library errors propagate: the ``cli`` group turns each one
 (a bad corpus or stage input, a failed computation, an unusable output
 path) into a single ``error:`` line and exit code 1.  Every command writes
-inside ``_writing``, which removes an earlier run's manifest first and
-writes the new one only after every output is written, so a manifest
-never stands beside the outputs of a failed run.
+inside ``_writing``, into a scratch directory within the output directory;
+only a run that completes moves its outputs into place, its manifest last
+and an earlier run's manifest removed first.  So a failed run leaves the
+output directory as it was (or absent, if the run created it).
 """
 
 from __future__ import annotations
@@ -21,7 +22,10 @@ import gc
 import hashlib
 import json
 import math
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import click
@@ -59,19 +63,32 @@ def _digest(path: Path) -> str:
 
 @contextlib.contextmanager
 def _writing(out_dir: Path, command: str, config: dict, inputs: list[Path]):
-    """Create ``out_dir`` without an earlier run's manifest for the block to
-    write into, and write this run's manifest once the block completes."""
+    """Yield a scratch directory inside ``out_dir`` (created if needed) for
+    the block to write into.  Once the block completes, this run's manifest
+    joins its outputs, an earlier run's manifest goes, and each file moves
+    into ``out_dir``, the manifest last.  On failure the scratch directory
+    goes, and so do ``out_dir`` and its parents if this run created them;
+    files that the run does not write always survive."""
+    created = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / MANIFEST_FILENAME).unlink(missing_ok=True)
-    yield
-    manifest = {
-        "command": command,
-        "config": config,
-        "inputs": {str(p): _digest(p) for p in inputs},
-    }
-    with open(out_dir / MANIFEST_FILENAME, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
+    try:
+        yield staging
+        manifest = {
+            "command": command,
+            "config": config,
+            "inputs": {str(p): _digest(p) for p in inputs},
+        }
+        with open(staging / MANIFEST_FILENAME, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        (out_dir / MANIFEST_FILENAME).unlink(missing_ok=True)
+        for path in sorted(staging.iterdir(), key=lambda p: p.name == MANIFEST_FILENAME):
+            os.replace(path, out_dir / path.name)
+        staging.rmdir()
+    except BaseException:
+        shutil.rmtree(created[-1] if created else staging, ignore_errors=True)
+        raise
 
 
 INPUT_FILE = click.Path(exists=True, dir_okay=False, path_type=Path)
@@ -196,8 +213,8 @@ def indicators(out_dir: Path, **kw):
     """Compute per-(university, sector) indicators."""
     corpus = _load(kw)
     records = ind.compute_indicators(corpus)
-    with _writing(out_dir, "indicators", _config_echo(kw), _corpus_inputs(kw)):
-        ind.write_indicators_csv(records, corpus.sectors, out_dir / INDICATORS_FILENAME)
+    with _writing(out_dir, "indicators", _config_echo(kw), _corpus_inputs(kw)) as staging:
+        ind.write_indicators_csv(records, corpus.sectors, staging / INDICATORS_FILENAME)
     click.echo(f"wrote {len(records)} records to {out_dir / INDICATORS_FILENAME}")
 
 
@@ -210,8 +227,8 @@ def aggregate(indicators_path: Path, out_dir: Path, ci_mode: str, threshold: flo
     records, sectors = ind.read_indicators_csv(indicators_path)
     result = _aggregate_records(records, sectors, ci_mode, threshold)
     config = {"ci_mode": ci_mode, "threshold": threshold}
-    with _writing(out_dir, "aggregate", config, [indicators_path]):
-        agg.write_aggregates_csv(result, out_dir / AGGREGATES_FILENAME)
+    with _writing(out_dir, "aggregate", config, [indicators_path]) as staging:
+        agg.write_aggregates_csv(result, staging / AGGREGATES_FILENAME)
     click.echo(f"wrote {len(result.kept) + len(result.excluded)} aggregates to "
                f"{out_dir / AGGREGATES_FILENAME}")
 
@@ -223,8 +240,8 @@ def report(out_dir: Path, quartile_scope: str, table2_mode: str, top_n: int, **k
     corpus = _load(kw)
     records = ind.compute_indicators(corpus)
     config = _config_echo(kw, quartile_scope=quartile_scope, table2_mode=table2_mode, top=top_n)
-    with _writing(out_dir, "report", config, _corpus_inputs(kw)):
-        _write_reports(corpus, records, out_dir, quartile_scope, table2_mode, top_n)
+    with _writing(out_dir, "report", config, _corpus_inputs(kw)) as staging:
+        _write_reports(corpus, records, staging, quartile_scope, table2_mode, top_n)
     click.echo(f"wrote report tables to {out_dir}")
 
 
@@ -235,8 +252,8 @@ def report(out_dir: Path, quartile_scope: str, table2_mode: str, top_n: int, **k
 def correlate(aggregates_path: Path, out_dir: Path):
     """Correlate performance indicators with each collaboration metric."""
     result = agg.read_aggregates_csv(aggregates_path)
-    with _writing(out_dir, "correlate", {}, [aggregates_path]):
-        _write_correlations(result.kept, out_dir)
+    with _writing(out_dir, "correlate", {}, [aggregates_path]) as staging:
+        _write_correlations(result.kept, staging)
     click.echo(f"wrote correlation tables to {out_dir}")
 
 
@@ -251,8 +268,8 @@ def synth_command(seed: int, params_path: Path | None, out_dir: Path):
 
     result = synth.generate_corpus(synth.load_params(seed, params_path))
     config = {"seed": seed, "params": str(params_path) if params_path else None}
-    with _writing(out_dir, "synth", config, [params_path] if params_path else []):
-        synth.write_synthetic(result, out_dir)
+    with _writing(out_dir, "synth", config, [params_path] if params_path else []) as staging:
+        synth.write_synthetic(result, staging)
     click.echo(
         f"wrote synthetic corpus ({len(result.corpus.publications)} publications) "
         f"to {out_dir}"
@@ -267,13 +284,13 @@ def run_all(out_dir: Path, ci_mode: str, threshold: float, quartile_scope: str,
     corpus = _load(kw)  # checked load doubles as the validate stage
     config = _config_echo(kw, ci_mode=ci_mode, threshold=threshold,
                           quartile_scope=quartile_scope, table2_mode=table2_mode, top=top_n)
-    with _writing(out_dir, "all", config, _corpus_inputs(kw)):
+    with _writing(out_dir, "all", config, _corpus_inputs(kw)) as staging:
         records = ind.compute_indicators(corpus)
-        ind.write_indicators_csv(records, corpus.sectors, out_dir / INDICATORS_FILENAME)
+        ind.write_indicators_csv(records, corpus.sectors, staging / INDICATORS_FILENAME)
         result = _aggregate_records(records, corpus.sectors, ci_mode, threshold)
-        agg.write_aggregates_csv(result, out_dir / AGGREGATES_FILENAME)
-        _write_reports(corpus, records, out_dir, quartile_scope, table2_mode, top_n)
-        _write_correlations(result.kept, out_dir)
+        agg.write_aggregates_csv(result, staging / AGGREGATES_FILENAME)
+        _write_reports(corpus, records, staging, quartile_scope, table2_mode, top_n)
+        _write_correlations(result.kept, staging)
     click.echo(f"pipeline complete: {out_dir}")
 
 

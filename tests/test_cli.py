@@ -63,6 +63,12 @@ def read_tree(root):
     return {p.name: p.read_bytes() for p in sorted(root.iterdir()) if p.is_file()}
 
 
+def snapshot(root):
+    """Every path under ``root`` with a file's bytes (None for a directory)."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None
+            for p in sorted(root.rglob("*"))}
+
+
 def assert_clean_failure(result):
     """Exit 1 through the CLI's own error path: one error line, no traceback."""
     assert result.exit_code == 1, result.output
@@ -854,7 +860,7 @@ class TestPipeline:
         assert agg.read_aggregates_csv(full / "aggregates.csv").excluded == filtered.excluded
         assert "excluded U001/A01 (area staff 3 < 5)" in result.stdout.splitlines()
 
-    def test_failed_rerun_leaves_no_stale_manifest(self, runner, tmp_path):
+    def test_failed_rerun_leaves_out_unchanged(self, runner, tmp_path):
         # every sector has 2 publications, fewer than per-sector quartiles need
         data = tmp_path / "data"
         write_synthetic(generate_corpus(TWO_PUBLICATION_SECTORS), data)
@@ -862,13 +868,32 @@ class TestPipeline:
         result = runner.invoke(cli, ["all"] + corpus_args(data) + ["--out", str(out)])
         assert result.exit_code == 0, result.output
         assert (out / "run_manifest.json").exists()
+        before = snapshot(out)
 
         result = runner.invoke(
             cli, ["all"] + corpus_args(data) + ["--out", str(out), "--quartile-scope", "per-sector"]
         )
         assert_clean_failure(result)
         assert "per-sector quartiles need at least 4" in result.output
-        assert not (out / "run_manifest.json").exists()
+        assert snapshot(out) == before
+
+    @pytest.mark.parametrize("out_state", ["absent", "used"])
+    def test_failed_run_leaves_out_as_it_was(self, runner, tmp_path, out_state):
+        # every sector has 2 publications, fewer than per-sector quartiles need
+        data = tmp_path / "data"
+        write_synthetic(generate_corpus(TWO_PUBLICATION_SECTORS), data)
+        out = tmp_path / "runs" / "out"
+        if out_state == "used":
+            result = runner.invoke(cli, ["indicators"] + corpus_args(data) + ["--out", str(out)])
+            assert result.exit_code == 0, result.output
+            (out / "notes.txt").write_text("no command writes this file\n")
+        before = snapshot(tmp_path)
+
+        result = runner.invoke(
+            cli, ["all"] + corpus_args(data) + ["--out", str(out), "--quartile-scope", "per-sector"]
+        )
+        assert_clean_failure(result)
+        assert snapshot(tmp_path) == before
 
     @pytest.mark.parametrize("command", ["all", "report"])
     def test_global_quartiles_need_four_publications(self, runner, data_dir, tmp_path, command):
