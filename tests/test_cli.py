@@ -415,6 +415,7 @@ class TestSynthCommand:
         pytest.param(b'{"planted_associations": {}}', "planted_associations",
                      id="planted_associations-object"),
         pytest.param(b'{"seed": 1}\xff', "params.json", id="non-utf8"),
+        pytest.param(b"[1, 2]", "params file must hold a JSON object", id="not-an-object"),
         pytest.param(b"[" * 100_000, "params.json", id="deep-nesting"),
         pytest.param(b'{"n_universities": "x"}', "n_universities", id="n_universities-string"),
         pytest.param(b'{"staff_range": 5}', "staff_range", id="staff_range-int"),

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,8 +15,10 @@ from collabmetrics.corpus import (
     Attribution,
     Corpus,
     CorpusConfig,
+    CorpusError,
     CorpusLoadError,
     CorpusValidationError,
+    IndicatorError,
     Organization,
     OrgClass,
     Publication,
@@ -348,6 +351,19 @@ class TestValidate:
         assert any("dangling journal_id" in m for m in messages)
         assert any("dangling org_id" in m for m in messages)
         assert any("dangling sds" in m for m in messages)
+
+    @pytest.mark.parametrize("derive,error,message", [
+        pytest.param(lambda corpus: corpus.sectors.area_of("S9"), CorpusError,
+                     "sds 'S9' is not mapped to any area", id="unmapped-sector"),
+        pytest.param(lambda corpus: dataclasses.replace(
+            corpus, publications=(pub_with(journal_id="J9"),)).normalized_ifs,
+                     IndicatorError, "publication 'p1': dangling journal 'J9'",
+                     id="dangling-journal"),
+    ])
+    def test_derived_fact_names_its_broken_reference(self, tmp_path, derive, error, message):
+        corpus = load_from(write_minimal_files(tmp_path))
+        with pytest.raises(error, match=re.escape(message)):
+            derive(corpus)
 
     def test_dangling_org_counted_per_publication_of_equal_sets(self, tmp_path):
         corpus = load_from(write_minimal_files(tmp_path))

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -85,6 +86,17 @@ class TestCrossTabFromCounts:
         bad[0][2] = foreign
         with pytest.raises(ReportError, match="row '0-25': foreign exceeds extramural"):
             CrossTab.from_counts(bad)
+
+    @pytest.mark.parametrize("counts,message", [
+        pytest.param([[10, 5, 3, 1]] * 3, "expected 4 quartile rows, got 3", id="three-rows"),
+        pytest.param([[10, 5, 3, 1]] * 3 + [[10, 5, 3]], "row '76-100' needs 4 counts",
+                     id="short-row"),
+        pytest.param([[10, 5, 3, 1]] * 3 + [[10, 5, -3, 1]],
+                     "negative count in cell (76-100, foreign)", id="negative-count"),
+    ])
+    def test_malformed_counts_rejected(self, counts, message):
+        with pytest.raises(ReportError, match=re.escape(message)):
+            CrossTab.from_counts(counts)
 
     def test_column_weighted_concentration_mean_is_one(self):
         table = CrossTab.from_counts(PUBLISHED_COUNTS)
@@ -422,6 +434,21 @@ class TestCorrelationTable:
             kept = filter_small_universities(aggs).kept
             table = build_correlation_table(kept, "CI")
             assert table.cells[("P", "A01")].r == pytest.approx(0.68, abs=0.1)
+
+
+@pytest.mark.parametrize("build,message", [
+    pytest.param(lambda corpus, records: build_area_profile(corpus, records, mode="median"),
+                 "unknown area profile mode 'median' (use pooled|weighted)", id="profile-mode"),
+    pytest.param(lambda corpus, records: build_top_sector_table(records, corpus.sectors, "FCI",
+                                                                top_n=0),
+                 "top_n must be at least 1, got 0", id="top-n"),
+    pytest.param(lambda corpus, records: build_correlation_table([], "QI"),
+                 "unknown collaboration metric 'QI'", id="correlation-metric"),
+])
+def test_unknown_builder_option_rejected(build, message):
+    corpus = profile_corpus()
+    with pytest.raises(ReportError, match=re.escape(message)):
+        build(corpus, compute_indicators(corpus))
 
 
 class TestEmission:

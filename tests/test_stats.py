@@ -226,6 +226,10 @@ class TestQuartileBins:
         with pytest.raises(ValueError):
             stats.quartile_bins([1, 2, 3])
 
+    def test_undefined_value_rejected(self):
+        with pytest.raises(ValueError, match="fully defined"):
+            stats.quartile_bins([1.0, 2.0, math.nan, 4.0])
+
     def test_order_preserved(self):
         assert stats.quartile_bins([4, 1, 3, 2]) == [4, 1, 3, 2]
 

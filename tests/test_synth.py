@@ -99,6 +99,10 @@ class TestValidity:
                 n_universities=10,
                 planted_associations=(PlantedAssociation("A02", "FCI", "QP", -0.4),),
             ),
+            # no university partners to draw from
+            SynthParams(seed=3, n_universities=1),
+            # U001's cells have no publications
+            SynthParams(seed=3, n_universities=4, staff_overrides={"U001": 0}),
         ],
     )
     def test_generated_corpora_validate_cleanly(self, params):
@@ -248,6 +252,28 @@ class TestParamValidation:
         )
         with pytest.raises(SynthParamsError, match="at least 3"):
             generate_corpus(params)
+
+    @pytest.mark.parametrize("overrides,message", [
+        pytest.param({"n_areas": 0}, "n_areas must be at least 1, got 0", id="n_areas-0"),
+        pytest.param({"productivity_spread": -0.1}, "productivity_spread must be non-negative",
+                     id="productivity_spread-negative"),
+        pytest.param({"if_lognormal": (0.0, -0.5)}, "if_lognormal sigma must be non-negative",
+                     id="if_lognormal-sigma-negative"),
+        pytest.param({"staff_overrides": {"U001": -1}},
+                     "staff overrides must be non-negative integers, got -1",
+                     id="staff_override-negative"),
+        pytest.param({"planted_associations": (PlantedAssociation("A01", "CI_UNI", "P", 0.5),)},
+                     "cannot plant x_metric 'CI_UNI'", id="x_metric-unplantable"),
+        pytest.param({"planted_associations": (
+            PlantedAssociation("A01", "FCI", "P", 0.5, noise=-0.1),
+        )}, "noise must be non-negative, got -0.1", id="noise-negative"),
+        pytest.param({"planted_associations": (
+            PlantedAssociation("A01", "FCI", "P", 0.5), PlantedAssociation("A01", "DCI", "QP", 0.2),
+        )}, "at most one planted association per area", id="two-associations-in-one-area"),
+    ])
+    def test_out_of_range_value_rejected(self, overrides, message):
+        with pytest.raises(SynthParamsError, match=re.escape(message)):
+            generate_corpus(SynthParams(seed=1, n_universities=3, **overrides))
 
     @pytest.mark.parametrize("overrides,name", [
         pytest.param({"if_lognormal": (0.0, math.inf)}, "if_lognormal[1]", id="if_lognormal-inf"),
