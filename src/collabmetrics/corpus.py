@@ -422,9 +422,9 @@ def check_references(corpus: Corpus) -> ValidationReport:
     # (reference row, faulty key) -> number of records holding the reference
     faults: Counter[tuple[int, tuple]] = Counter()
     pubs = corpus.publications
-    pubs_by_org_set = Counter([pub.org_ids for pub in pubs])
+    pubs_by_org_set = Counter(pub.org_ids for pub in pubs)
     # (university, sds) -> attributions
-    attributions = Counter([(att.university, att.sds) for pub in pubs for att in pub.attributions])
+    attributions = Counter((att.university, att.sds) for pub in pubs for att in pub.attributions)
     roster_pairs = corpus.staff.pairs()
     organizations, sectors = corpus.organizations, corpus.sectors.entries
 

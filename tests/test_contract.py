@@ -27,6 +27,7 @@ from click.testing import CliRunner
 from collabmetrics.cli import cli
 from collabmetrics.corpus import CORPUS_FILENAMES, CorpusError, OrgClass, load_corpus
 from golden.update import INPUT
+from test_cli import corpus_args, snapshot
 
 CASES = 150
 FLAG_SETS = ([], ["--table2-mode", "weighted", "--quartile-scope", "per-sector", "--top", "3",
@@ -74,11 +75,6 @@ def _mutate(lines: list[str], rng: random.Random, ids: list[str]) -> str:
     old, parts[k] = parts[k], value
     lines[i] = "".join(parts)
     return f"line {i + 1}: {old!r} -> {value!r}"
-
-
-def _snapshot(root):
-    return {p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None
-            for p in sorted(root.rglob("*"))}
 
 
 def _finite(cell: str) -> bool:
@@ -130,14 +126,12 @@ def test_generated_faults_keep_the_error_contract(tmp_path):
         for name, lines in files.items():
             (work / name).write_text("".join(lines), encoding="utf-8")
         corpus_files = [work / name for name in CORPUS_FILENAMES.values()]
-        args = [arg for flag, path in zip(("--pubs", "--orgs", "--journals", "--staff",
-                                           "--sectors"), corpus_files)
-                for arg in (flag, str(path))]
+        args = corpus_args(work)
         flags = rng.choice(FLAG_SETS)
         out = work / "out"
         out.mkdir()
         (out / "kept.txt").write_text("a file no command writes\n")
-        before = _snapshot(out)
+        before = snapshot(out)
 
         def fault(message):
             broken.append(f"case {case} ({'; '.join(edits)}; flags {flags}): {message}")
@@ -159,7 +153,7 @@ def test_generated_faults_keep_the_error_contract(tmp_path):
         if run.exit_code == 1:
             if run.output.count("error:") != 1:
                 fault(f"all printed {run.output.count('error:')} error lines")
-            if _snapshot(out) != before:
+            if snapshot(out) != before:
                 fault("failed all changed --out")
         elif run.exit_code == 0:
             for message in _contract_faults(out, corpus_files):
