@@ -65,10 +65,7 @@ def _mutate(lines: list[str], rng: random.Random, ids: list[str]) -> str:
         lines[i], lines[j] = lines[j], lines[i]
         return f"swap lines {i + 1} and {j + 1}"
     parts = PUNCTUATION.split(lines[i])
-    tokens = [k for k in range(0, len(parts), 2) if parts[k]]
-    if not tokens:
-        return f"no token on line {i + 1}"
-    k = rng.choice(tokens)
+    k = rng.choice([k for k in range(0, len(parts), 2) if parts[k]])
     value = rng.choice(HOSTILE + ["<id>"])
     if value == "<id>":
         value = rng.choice(ids)
