@@ -91,7 +91,7 @@ class CrossTab:
             (label, col): stats.concentration_index(
                 counts[(label, col)], row_totals[label], col_totals[col], grand_total
             )
-            if grand_total > 0 and row_totals[label] > 0
+            if row_totals[label] > 0
             else None
             for label in QUARTILE_LABELS
             for col in COLLAB_COLUMNS
@@ -294,7 +294,7 @@ class TopSectorRow:
     sds: str
     value: float
     output: int
-    area_share: float | None
+    area_share: float
 
 
 def build_top_sector_table(
@@ -320,7 +320,7 @@ def build_top_sector_table(
                     sds=sds,
                     value=value,
                     output=output,
-                    area_share=output / area_output if area_output > 0 else None,
+                    area_share=output / area_output,
                 )
             )
     return rows

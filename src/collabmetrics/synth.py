@@ -34,6 +34,7 @@ import json
 import math
 import random
 import statistics
+import sys
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -178,7 +179,7 @@ def _check_params(params: SynthParams) -> None:
                for i, assoc in enumerate(params.planted_associations)
                for name in ("r", "noise")}
     for name, value in floats.items():
-        if not math.isfinite(value):
+        if not abs(value) <= sys.float_info.max:  # also an integer no float can hold
             raise SynthParamsError(f"{name} must be a finite number, got {value}")
     lo, hi = params.staff_range
     if lo < 0 or hi < lo:

@@ -1,12 +1,16 @@
 """Golden digests: the SHA-256 of every output of a fixed command list.
 
-    PYTHONPATH=src python tests/golden/update.py
+    PYTHONPATH=src python tests/golden/update.py [--check]
 
 Run it from the repository root.  It runs ``COMMANDS`` on the frozen
 corpus in ``input/`` and rewrites ``digests.json`` with the digest of
 every file each command writes, of its stdout and stderr, and its exit
-code.  ``tests/test_golden.py`` reruns the list and names every entry
-that differs.  A change that moves a digest says which and why.
+code.  With ``--check`` it writes nothing: it names every entry that is
+missing, unexpected or changed against ``digests.json`` and exits 1 if
+there is one.  ``tests/test_golden.py`` runs the same check.  A change
+that moves a digest says which and why.  The script needs only the
+package and click, so it also runs in an install without the test
+dependencies.
 
 The commands run in a scratch directory holding a copy of ``input/``,
 with relative paths, so the run manifests (which name their inputs) and
@@ -31,10 +35,14 @@ mean DCI, and several cells have an undefined P.
 The ``synth`` case runs the generator on ``input/synth-params.json``:
 these parameters over two years, with a stronger foreign propensity in
 A02 and a planted ``CI_share`` association in A01 (330 publications).
+``all-period`` runs ``all`` on that corpus with ``--period 2001-2002``,
+a period narrower than the default.  ``synth-default`` runs the
+generator with no ``--params``.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import json
@@ -52,11 +60,17 @@ GOLDEN = Path(__file__).resolve().parent
 INPUT = GOLDEN / "input"
 DIGESTS = GOLDEN / "digests.json"
 
-CORPUS = [
-    "--pubs", "input/publications.jsonl", "--orgs", "input/organizations.csv",
-    "--journals", "input/journals.csv", "--staff", "input/staff.csv",
-    "--sectors", "input/sectors.csv",
-]
+
+def _corpus(directory: str) -> list[str]:
+    """The five corpus options for the files in ``directory``."""
+    return [
+        "--pubs", f"{directory}/publications.jsonl", "--orgs", f"{directory}/organizations.csv",
+        "--journals", f"{directory}/journals.csv", "--staff", f"{directory}/staff.csv",
+        "--sectors", f"{directory}/sectors.csv",
+    ]
+
+
+CORPUS = _corpus("input")
 FLAGS = ["--table2-mode", "weighted", "--quartile-scope", "per-sector", "--top", "3"]
 
 # case name -> argv, in run order (the staged chain reads earlier outputs);
@@ -79,6 +93,9 @@ COMMANDS = {
     "report-flags": ["report", *CORPUS, "--out", "out/report-flags", *FLAGS],
     "synth": ["synth", "--seed", "7", "--params", "input/synth-params.json",
               "--out", "out/synth"],
+    "all-period": ["all", *_corpus("out/synth"), "--period", "2001-2002",
+                   "--out", "out/all-period"],
+    "synth-default": ["synth", "--seed", "1", "--out", "out/synth-default"],
 }
 
 
@@ -119,7 +136,34 @@ def run_commands(work: Path) -> dict[str, str]:
     return digests
 
 
+def differences(work: Path) -> list[str]:
+    """Run ``COMMANDS`` in ``work`` and name each entry that differs from
+    ``digests.json``: ``<key>: missing``, ``unexpected`` or ``changed``."""
+    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    got = run_commands(work)
+    return [
+        f"{key}: " + ("missing" if key not in got else "unexpected" if key not in expected
+                      else "changed")
+        for key in sorted(expected.keys() | got.keys())
+        if expected.get(key) != got.get(key)
+    ]
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with digests.json instead of rewriting it")
+    args = parser.parse_args()
+    if args.check:
+        with tempfile.TemporaryDirectory() as tmp:
+            differing = differences(Path(tmp))
+        for line in differing:
+            print(line, file=sys.stderr)
+        if differing:
+            print(f"{len(differing)} entries differ from {DIGESTS}", file=sys.stderr)
+            return 1
+        print(f"every digest matches {DIGESTS}")
+        return 0
     with tempfile.TemporaryDirectory() as tmp:
         digests = run_commands(Path(tmp))
     failed = [case for case in COMMANDS if digests[f"{case} exit code"] != "0"]

@@ -431,6 +431,9 @@ class TestSynthCommand:
                      id="if_lognormal-infinite"),
         pytest.param(b'{"pubs_per_staff_mean": NaN}', "pubs_per_staff_mean",
                      id="pubs_per_staff_mean-nan"),
+        # an integer beyond the largest float
+        pytest.param(b'{"pubs_per_staff_mean": ' + b"9" * 400 + b"}", "pubs_per_staff_mean",
+                     id="pubs_per_staff_mean-huge-integer"),
         pytest.param(b'{"n_universities": 3, "staff_overrides": {"U999": 3}}',
                      "staff_overrides[U999]", id="staff_overrides-unknown-university"),
         pytest.param(json.dumps({"n_areas": 2, "area_propensity_overrides": {"A03": {}}}).encode(),

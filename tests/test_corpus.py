@@ -171,6 +171,15 @@ class TestLoad:
         with pytest.raises(CorpusLoadError, match="negative headcount"):
             load_from(paths)
 
+    def test_largest_float_headcount_loads(self, tmp_path):
+        # the largest headcount whose period average is still a float
+        head = int(sys.float_info.max)
+        paths = write_minimal_files(tmp_path)
+        paths["staff"].write_text(
+            f"university,sds,year,headcount\nUA,S1,2001,{head}\n", encoding="utf-8"
+        )
+        assert load_from(paths).staff.entries == {("UA", "S1", 2001): head}
+
     @pytest.mark.parametrize("raw", ["nan", "inf"])
     def test_non_finite_impact_factor_rejected(self, tmp_path, raw):
         paths = write_minimal_files(tmp_path)

@@ -98,6 +98,11 @@ class TestCrossTabFromCounts:
         with pytest.raises(ReportError, match=re.escape(message)):
             CrossTab.from_counts(counts)
 
+    def test_all_zero_counts_leave_every_concentration_undefined(self):
+        table = CrossTab.from_counts([[0, 0, 0, 0]] * 4)
+        assert table.grand_total == 0
+        assert set(table.concentration.values()) == {None}
+
     def test_column_weighted_concentration_mean_is_one(self):
         table = CrossTab.from_counts(PUBLISHED_COUNTS)
         for col in ("intramural", "extramural", "foreign", "enterprise"):
@@ -405,6 +410,12 @@ class TestCorrelationTable:
         assert ("P", "A1") not in table.cells
         assert table.notes[("P", "A1")] == "zero variance"
         assert stats.associate([a.CI for a in aggs], [a.P for a in aggs]) is None
+
+    def test_constant_indicator_with_three_pairs_undefined(self):
+        # 3 pairs are enough to correlate, so the note blames the variance, not the count
+        aggs = [make_aggregate(f"U{i}", ci=0.1 * i, p=1.5) for i in range(3)]
+        table = build_correlation_table(aggs, "CI")
+        assert table.notes[("P", "A1")] == "zero variance"
 
     def test_r_squared_identity_holds_per_cell(self):
         corpus = generate_corpus(SynthParams(seed=3, n_universities=12)).corpus

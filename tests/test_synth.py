@@ -110,6 +110,10 @@ class TestValidity:
         report = validate_corpus(corpus)
         assert report.errors == []
 
+    def test_two_universities_coauthor_with_each_other(self):
+        corpus = generate_corpus(SynthParams(seed=3, n_universities=2)).corpus
+        assert any({"U001", "U002"} <= pub.org_ids for pub in corpus.publications)
+
     def test_zero_propensities_yield_single_organization_corpus(self):
         params = SynthParams(
             seed=4,
