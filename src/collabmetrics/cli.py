@@ -6,13 +6,16 @@ byte-identical output directories.  Intermediate tables
 (indicators.csv, aggregates.csv) are written at full precision and are
 valid stage inputs for partial reruns.
 
-Commands let library errors propagate: the ``cli`` group turns each one
-(a bad corpus or stage input, a failed computation, an unusable output
-path) into a single ``error:`` line and exit code 1.  Every command writes
-inside ``_writing``, into a scratch directory within the output directory;
-only a run that completes moves its outputs into place, its manifest last
-and an earlier run's manifest removed first.  So a failed run leaves the
-output directory as it was (or absent, if the run created it).
+Every command that reads a corpus checks it with one function,
+``corpus.validate_corpus``: ``validate`` reports what it finds, and the
+others load with ``check`` and stop on any error.  Commands let library
+errors propagate: the ``cli`` group turns each one (a bad corpus or stage
+input, a failed computation, an unusable output path) into a single
+``error:`` line and exit code 1.  Every command writes inside
+``_writing``, into a scratch directory within the output directory; only a
+run that completes moves its outputs into place, its manifest last and an
+earlier run's manifest removed first.  So a failed run leaves the output
+directory as it was (or absent, if the run created it).
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ import click
 from . import aggregate as agg
 from . import indicators as ind
 from . import reports
-from .corpus import CORPUS_FILENAMES, Corpus, CorpusConfig, CorpusError, check_references
-from .corpus import load_corpus
+from .corpus import CORPUS_FILENAMES, Corpus, CorpusConfig, CorpusError, load_corpus
+from .corpus import validate_corpus
 
 INDICATORS_FILENAME = "indicators.csv"
 AGGREGATES_FILENAME = "aggregates.csv"
@@ -165,7 +168,8 @@ def _load(kw: dict, *, check: bool = True) -> Corpus:
 class _Pipeline(click.Group):
     """The command group: each library error ends a command in one ``error:`` line
     (SynthParamsError is a ValueError; OSError covers an unusable output path;
-    OverflowError a finite input value too large to average or square).
+    OverflowError a finite input value too large to average or square;
+    MemoryError, ``error: out of memory``, a synth size too large to build).
 
     A command runs with the cyclic garbage collector paused: the corpus and
     everything derived from it hold no reference cycles, so a collection
@@ -180,6 +184,9 @@ class _Pipeline(click.Group):
         except (CorpusError, ind.IndicatorError, agg.AggregateError, reports.ReportError,
                 ValueError, OSError, OverflowError) as exc:
             click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
+        except MemoryError:
+            click.echo("error: out of memory", err=True)
             sys.exit(1)
         finally:
             if gc_was_enabled:
@@ -196,7 +203,7 @@ def cli():
 def validate(**kw):
     """Check corpus files and report every consistency issue."""
     corpus = _load(kw, check=False)
-    report = check_references(corpus)  # the loaders have checked every record
+    report = validate_corpus(corpus)  # the loaders have checked every record
     for issue in report.issues:
         click.echo(issue.describe())
     click.echo(

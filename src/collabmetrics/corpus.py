@@ -1,12 +1,12 @@
 """Corpus model and I/O: publications, organizations, journals, staff, sectors.
 
-Each record invariant has one check, called by the loaders (which fail fast
-with file/line context, after the file-shape checks only a raw row needs)
-and by ``validate_corpus``, which also runs ``check_references`` on the
-references across files; a loader does not, so that broken corpora can
-still be inspected.  A checked ``load_corpus`` runs only
-``check_references``, since its loaders have already checked every record.
-The stage tables (indicators.csv, aggregates.csv) share one strict reader,
+Each record invariant has one check, in the loaders: they fail fast on the
+first broken record, with its file, line and field.  The references across
+files have one check, ``validate_corpus``, which a checked ``load_corpus``
+and the ``validate`` command run after the loaders (a loader does not, so
+that a broken corpus can still be inspected).  A corpus built in code is
+checked by writing it with ``write_corpus`` and loading it.  The stage
+tables (indicators.csv, aggregates.csv) share one strict reader,
 ``_read_stage_table``.
 """
 
@@ -270,64 +270,39 @@ def classify_collaboration(
 
 
 # ---------------------------------------------------------------------------
-# Record invariants: the (field, message) problems of one record, shared by
-# the loaders (which raise the first) and validate_corpus (which reports all)
-
-Problems = list[tuple[str, str]]
+# Record invariants: the checks the loaders share, each raising a load error
+# at its record's line
 
 
-def _period_problems(year: int, period: tuple[int, int]) -> Problems:
-    if period[0] <= year <= period[1]:
-        return []
-    return [("year", f"year {year} outside period {period[0]}-{period[1]}")]
+def _check_year(path, lineno: int, year: int, period: tuple[int, int]) -> None:
+    if not period[0] <= year <= period[1]:
+        raise CorpusLoadError(path, lineno, f"year {year} outside period {period[0]}-{period[1]}",
+                              "year")
 
 
-def _organization_problems(org: Organization, home_country: str) -> Problems:
-    if (org.org_class is OrgClass.FOREIGN) == (org.country != home_country):
-        return []
-    return [("class", f"class {org.org_class.value} inconsistent with country "
-                      f"'{org.country}' (home country '{home_country}')")]
-
-
-def _impact_problems(year: int, impact: float) -> Problems:
-    if math.isfinite(impact) and impact >= 0:
-        return []
-    return [("impact_factor",
-             f"negative or non-finite impact factor {impact} for year {year}")]
-
-
-def _staff_problems(year: int, headcount: int, period: tuple[int, int]) -> Problems:
-    problems = _period_problems(year, period)
-    if not isinstance(headcount, int) or headcount < 0:
-        problems.append(("headcount", f"non-integer or negative headcount {headcount!r}"))
-    elif headcount > sys.float_info.max:  # its period average could not be a float
-        problems.append(("headcount", "headcount too large for a float"))
-    return problems
-
-
-def _publication_problems(pub: Publication, period: tuple[int, int], seen: set[str]) -> Problems:
-    """Problems of one publication; ``seen`` holds the ids of the
-    publications before it and gains this one."""
-    problems = _period_problems(pub.year, period)
+def _check_publication(path, lineno: int, pub: Publication, period: tuple[int, int],
+                       seen: set[str]) -> None:
+    """Check one publication; ``seen`` holds the ids of the publications
+    before it and gains this one."""
+    _check_year(path, lineno, pub.year, period)
     if pub.pub_id in seen:
-        problems.append(("id", f"duplicate publication id '{pub.pub_id}'"))
+        raise CorpusLoadError(path, lineno, f"duplicate publication id '{pub.pub_id}'", "id")
     seen.add(pub.pub_id)
     if not pub.org_ids:
-        problems.append(("orgs", "empty organization set"))
+        raise CorpusLoadError(path, lineno, "empty organization set", "orgs")
     if not pub.attributions:
-        problems.append(("attributions", "empty attribution list"))
-    elif len(pub.attributions) > 1:
+        raise CorpusLoadError(path, lineno, "empty attribution list", "attributions")
+    if len(pub.attributions) > 1:
         pairs = set()
         for att in pub.attributions:
             if (att.university, att.sds) in pairs:
-                problems.append(("attributions",
-                                 f"duplicate attribution ({att.university}, {att.sds})"))
+                raise CorpusLoadError(path, lineno, f"duplicate attribution "
+                                      f"({att.university}, {att.sds})", "attributions")
             pairs.add((att.university, att.sds))
     for att in pub.attributions:
         if att.university not in pub.org_ids:
-            problems.append(("attributions", f"attributed university '{att.university}' "
-                                             "missing from organization set"))
-    return problems
+            raise CorpusLoadError(path, lineno, f"attributed university '{att.university}' "
+                                  "missing from organization set", "attributions")
 
 
 # ---------------------------------------------------------------------------
@@ -361,37 +336,6 @@ class ValidationReport:
         return not self.errors
 
 
-def validate_corpus(corpus: Corpus) -> ValidationReport:
-    """Check every record, cross-reference and registry invariant of a corpus:
-    the record checks the loaders run, then ``check_references``."""
-    issues: list[ValidationIssue] = []
-
-    def error(location: str, message: str):
-        issues.append(ValidationIssue("error", location, message))
-
-    for org in corpus.organizations.values():
-        for _field, message in _organization_problems(org, corpus.home_country):
-            error(f"organizations[{org.org_id}]", message)
-
-    for journal_id, impacts in corpus.journals.items():
-        if not impacts:
-            error(f"journals[{journal_id}]", "no impact factor years")
-        for year, impact in impacts.items():
-            for _field, message in _impact_problems(year, impact):
-                error(f"journals[{journal_id}]", message)
-
-    for (univ, sds, year), headcount in corpus.staff.entries.items():
-        for _field, message in _staff_problems(year, headcount, corpus.period):
-            error(f"staff[{univ},{sds},{year}]", message)
-
-    seen_pub_ids: set[str] = set()
-    for pub in corpus.publications:
-        for _field, message in _publication_problems(pub, corpus.period, seen_pub_ids):
-            error(f"publications[{pub.pub_id}]", message)
-
-    return ValidationReport(issues=tuple(issues) + check_references(corpus).issues)
-
-
 # One row per reference across files, in report order: (severity, location,
 # message).  Both are formatted with the faulty key's parts; the message also
 # with ``n``, the number of records that hold the reference.
@@ -410,9 +354,9 @@ _REFERENCES = (
  _ROSTER) = range(len(_REFERENCES))
 
 
-def check_references(corpus: Corpus) -> ValidationReport:
+def validate_corpus(corpus: Corpus) -> ValidationReport:
     """Check the references across files, and that every sector's impact
-    factors normalize.  The loaders check each record, so a checked
+    factors normalize.  The loaders have checked each record, so a checked
     ``load_corpus`` and the ``validate`` command run these checks alone.
 
     Faulty references are aggregated one issue per key (with a reference
@@ -486,7 +430,8 @@ SECTOR_HEADER = ["sds", "area"]
 
 
 def _read_csv(path, expected_header: list[str]):
-    """Yield (line_number, row) for a strict-header CSV file."""
+    """Yield (line_number, row) for a strict-header CSV file; a row's line is
+    its first, also when a quoted field spans several."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(_utf8_lines(path, fh))
         rows = _csv_rows(path, reader)
@@ -498,7 +443,9 @@ def _read_csv(path, expected_header: list[str]):
             raise CorpusLoadError(
                 path, 1, f"expected header {','.join(expected_header)}, got {','.join(header)}"
             )
-        for lineno, row in enumerate(rows, start=2):
+        end = reader.line_num  # the last line read
+        for row in rows:
+            lineno, end = end + 1, reader.line_num
             if not row:
                 continue
             if len(row) != len(expected_header):
@@ -584,13 +531,6 @@ def _read_stage_table(path, header: list[str], row_type: type):
         yield lineno, row, row_type(row[0], row[1], *numbers)
 
 
-def _raise_first(path, lineno: int, problems: Problems) -> None:
-    """Raise the first problem of a loaded record as an error at its line."""
-    if problems:
-        field, message = problems[0]
-        raise CorpusLoadError(path, lineno, message, field)
-
-
 _raw_decode = json.JSONDecoder().raw_decode
 
 
@@ -607,9 +547,10 @@ def load_organizations(path, home_country: str) -> dict[str, Organization]:
             raise CorpusLoadError(
                 path, lineno, f"unknown organization class {raw_class!r}", "class"
             ) from None
-        org = Organization(org_id, name, org_class, country)
-        _raise_first(path, lineno, _organization_problems(org, home_country))
-        orgs[org_id] = org
+        if (org_class is OrgClass.FOREIGN) != (country != home_country):
+            raise CorpusLoadError(path, lineno, f"class {org_class.value} inconsistent with "
+                                  f"country '{country}' (home country '{home_country}')", "class")
+        orgs[org_id] = Organization(org_id, name, org_class, country)
     return orgs
 
 
@@ -625,7 +566,9 @@ def load_journals(path) -> dict[str, dict[int, float]]:
             raise CorpusLoadError(
                 path, lineno, f"not a number: {raw_if!r}", "impact_factor"
             ) from None
-        _raise_first(path, lineno, _impact_problems(year, impact))
+        if not 0 <= impact < math.inf:  # negative, nan or inf
+            raise CorpusLoadError(path, lineno, f"negative or non-finite impact factor {impact} "
+                                  f"for year {year}", "impact_factor")
         years = by_journal.setdefault(journal_id, {})
         if year in years:
             raise CorpusLoadError(
@@ -640,7 +583,12 @@ def load_staff(path, period: tuple[int, int]) -> StaffRoster:
     for lineno, (university, sds, raw_year, raw_head) in _read_csv(path, STAFF_HEADER):
         year = _parse_int(path, lineno, "year", raw_year)
         headcount = _parse_int(path, lineno, "headcount", raw_head)
-        _raise_first(path, lineno, _staff_problems(year, headcount, period))
+        _check_year(path, lineno, year, period)
+        if headcount < 0:
+            raise CorpusLoadError(path, lineno, f"non-integer or negative headcount {headcount!r}",
+                                  "headcount")
+        if headcount > sys.float_info.max:  # its period average could not be a float
+            raise CorpusLoadError(path, lineno, "headcount too large for a float", "headcount")
         key = (university, sds, year)
         if key in entries:
             raise CorpusLoadError(
@@ -741,7 +689,7 @@ def load_publications(path, period: tuple[int, int]) -> tuple[Publication, ...]:
                 attributions.append(att)
 
             pub = Publication(pub_id, year, journal, org_ids, tuple(attributions))
-            _raise_first(path, lineno, _publication_problems(pub, period, seen_ids))
+            _check_publication(path, lineno, pub, period, seen_ids)
             pubs.append(pub)
     return tuple(pubs)
 
@@ -759,10 +707,10 @@ def load_corpus(
     """Load and cross-link the five input files into a Corpus.
 
     The loaders raise on the first record that breaks an invariant.  With
-    ``check`` (the default) ``check_references`` then runs and a
-    ``CorpusValidationError`` is raised on any error it reports; with
-    ``check=False`` the possibly-inconsistent corpus is returned for
-    inspection via ``validate_corpus`` or ``check_references``.
+    ``check`` (the default) ``validate_corpus`` then checks the references
+    across files and a ``CorpusValidationError`` is raised on any error it
+    reports; with ``check=False`` the possibly-inconsistent corpus is
+    returned for the ``validate`` command to report on.
     """
     corpus = Corpus(
         publications=load_publications(pub_path, config.period),
@@ -774,7 +722,7 @@ def load_corpus(
         period=config.period,
     )
     if check:
-        report = check_references(corpus)
+        report = validate_corpus(corpus)
         if not report.ok:
             raise CorpusValidationError(report)
     return corpus

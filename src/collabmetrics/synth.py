@@ -199,6 +199,11 @@ def _check_params(params: SynthParams) -> None:
             raise SynthParamsError(
                 f"staff overrides must be non-negative integers, got {head!r}"
             )
+    sizes = {f"staff_range[{i}]": bound for i, bound in enumerate(params.staff_range)}
+    sizes |= {f"staff_overrides[{univ}]": head for univ, head in params.staff_overrides.items()}
+    for name, size in sizes.items():
+        if size >= sys.maxsize:  # a headcount range needs a length, head * rate a float
+            raise SynthParamsError(f"{name} must be below {sys.maxsize}, got {size}")
     for assoc in params.planted_associations:
         if assoc.x_metric not in PLANTABLE_X:
             raise SynthParamsError(

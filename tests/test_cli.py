@@ -326,6 +326,16 @@ LOADER_REJECTIONS = {
                                                                      "U999,A01S01,A99,")]
                          + lines[2:], 3,
                          "field 'area': sds 'A01S01' mapped to both 'A01' and 'A99'"),
+    # a quoted field over two lines: each later row is named by its first line
+    "after-two-line-name": ("organizations.csv",
+                            lambda lines: [lines[0], 'DPR01,"Research\nInstitution 1",'
+                                           "DPR_DOMESTIC,IT", *lines[2:4],
+                                           "DPR04,Research Institution 4,BOGUS,IT", *lines[5:]],
+                            6, "field 'class': unknown organization class 'BOGUS'"),
+    "stage-row-after-two-line-university": ("indicators.csv",
+                                            lambda lines: [lines[0], '"U0\n01"' + lines[1][4:],
+                                                           lines[2], *lines[2:]], 5,
+                                            "duplicate row for U001/A01S02"),
 }
 
 
@@ -434,6 +444,11 @@ class TestSynthCommand:
         # an integer beyond the largest float
         pytest.param(b'{"pubs_per_staff_mean": ' + b"9" * 400 + b"}", "pubs_per_staff_mean",
                      id="pubs_per_staff_mean-huge-integer"),
+        # sizes no range or float can hold
+        pytest.param(b'{"staff_range": [0, 1' + b"0" * 400 + b"]}", "staff_range[1]",
+                     id="staff_range-huge-integer"),
+        pytest.param(b'{"staff_overrides": {"U001": 1' + b"0" * 400 + b"}}",
+                     "staff_overrides[U001]", id="staff_overrides-huge-integer"),
         pytest.param(b'{"n_universities": 3, "staff_overrides": {"U999": 3}}',
                      "staff_overrides[U999]", id="staff_overrides-unknown-university"),
         pytest.param(json.dumps({"n_areas": 2, "area_propensity_overrides": {"A03": {}}}).encode(),
@@ -457,6 +472,18 @@ class TestSynthCommand:
         assert result.exit_code == 1
         assert name in result.output
         assert_clean_failure(result)
+
+    def test_out_of_memory_fails_cleanly(self, runner, tmp_path, monkeypatch):
+        from collabmetrics import synth
+
+        def exhausted(params):
+            raise MemoryError
+
+        monkeypatch.setattr(synth, "generate_corpus", exhausted)
+        result = runner.invoke(cli, ["synth", "--out", str(tmp_path / "out")])
+        assert_clean_failure(result)
+        assert result.stderr == "error: out of memory\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestPipeline:
@@ -970,6 +997,26 @@ class TestPipeline:
         )
         assert result.exit_code == 0, result.output
         assert calls == {"classify": org_sets, "compute": 1, "impact": credited}
+
+
+@pytest.mark.parametrize("command", ["validate", "indicators", "report", "all"])
+def test_one_corpus_validation_per_command(runner, data_dir, tmp_path, monkeypatch, command):
+    from collabmetrics import cli as cli_mod
+    from collabmetrics import corpus
+
+    calls = []
+    validate = corpus.validate_corpus
+
+    def counted(checked):
+        calls.append(checked)
+        return validate(checked)
+
+    for module in (corpus, cli_mod):
+        monkeypatch.setattr(module, "validate_corpus", counted)
+    out = [] if command == "validate" else ["--out", str(tmp_path / "out")]
+    result = runner.invoke(cli, [command] + corpus_args(data_dir) + out)
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
 
 
 def numpy_loaded_after(code):

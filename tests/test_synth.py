@@ -6,7 +6,7 @@ import re
 import pytest
 
 from collabmetrics import synth
-from collabmetrics.corpus import validate_corpus
+from collabmetrics.corpus import CorpusConfig, load_corpus, write_corpus
 from collabmetrics.indicators import compute_indicators
 from collabmetrics.synth import (
     PlantedAssociation,
@@ -105,10 +105,11 @@ class TestValidity:
             SynthParams(seed=3, n_universities=4, staff_overrides={"U001": 0}),
         ],
     )
-    def test_generated_corpora_validate_cleanly(self, params):
+    def test_generated_corpora_validate_cleanly(self, params, tmp_path):
         corpus = generate_corpus(params).corpus
-        report = validate_corpus(corpus)
-        assert report.errors == []
+        paths = write_corpus(corpus, tmp_path)
+        # the loaders check each record, then validate_corpus the references
+        load_corpus(*paths.values(), CorpusConfig(period=corpus.period))
 
     def test_two_universities_coauthor_with_each_other(self):
         corpus = generate_corpus(SynthParams(seed=3, n_universities=2)).corpus
