@@ -37,7 +37,11 @@ these parameters over two years, with a stronger foreign propensity in
 A02 and a planted ``CI_share`` association in A01 (330 publications).
 ``all-period`` runs ``all`` on that corpus with ``--period 2001-2002``,
 a period narrower than the default.  ``synth-default`` runs the
-generator with no ``--params``.
+generator with no ``--params``.  ``synth-zero`` runs it on
+``input/synth-zero-params.json``, which takes each zero-valued path: a
+plant with noise 0 for each of ``CI_share``, ``FCI`` and ``DCI``, an area
+with no plant, ``collab_variation`` 0, and headcounts from 0, so some
+cells have no staff and no publications (52 publications).
 """
 
 from __future__ import annotations
@@ -96,6 +100,8 @@ COMMANDS = {
     "all-period": ["all", *_corpus("out/synth"), "--period", "2001-2002",
                    "--out", "out/all-period"],
     "synth-default": ["synth", "--seed", "1", "--out", "out/synth-default"],
+    "synth-zero": ["synth", "--seed", "7", "--params", "input/synth-zero-params.json",
+                   "--out", "out/synth-zero"],
 }
 
 
