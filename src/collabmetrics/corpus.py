@@ -29,13 +29,10 @@ class CorpusError(Exception):
 
 
 class CorpusLoadError(CorpusError):
-    """A malformed input file; carries file, line and field context."""
+    """A malformed input file; the message names its file, line and field."""
 
     def __init__(self, path, line: int | None, message: str, field: str | None = None):
-        self.path = str(path)
-        self.line = line
-        self.field = field
-        where = self.path if line is None else f"{self.path}:{line}"
+        where = str(path) if line is None else f"{path}:{line}"
         if field:
             message = f"field '{field}': {message}"
         super().__init__(f"{where}: {message}")
@@ -49,7 +46,6 @@ class CorpusValidationError(CorpusError):
     """Raised when a checked load finds referential errors."""
 
     def __init__(self, report: "ValidationReport"):
-        self.report = report
         lines = [issue.describe() for issue in report.errors]
         super().__init__(
             "corpus failed validation with "
@@ -226,22 +222,17 @@ class CorpusConfig:
 
 @dataclass(frozen=True, slots=True)
 class CollabProfile:
-    """Collaboration classification of one publication.
-
-    Class flags are viewpoint-free except university co-authorship,
-    which only makes sense relative to one attributed university and is
-    therefore exposed as a method.
-    """
+    """Collaboration classification of one publication.  Every flag is
+    viewpoint-free: ``has_other_university`` (two or more ``UNIV_DOMESTIC``
+    organizations) means another domestic university to each one credited,
+    since ``_check_publication`` puts a credited university in the set and
+    ``validate_corpus`` checks that it is ``UNIV_DOMESTIC``."""
 
     is_extramural: bool
+    has_other_university: bool
     has_dpr: bool
     has_foreign: bool
     has_domestic_enterprise: bool
-    university_orgs: frozenset[str]
-
-    def has_other_domestic_university(self, university: str) -> bool:
-        # True when the set holds more than the viewpoint university itself
-        return len(self.university_orgs) > (university in self.university_orgs)
 
 
 def classify_collaboration(
@@ -249,7 +240,6 @@ def classify_collaboration(
 ) -> CollabProfile:
     """Collaboration flags of a publication against an organization registry."""
     classes = []
-    university_orgs = []
     for oid in pub.org_ids:
         org = organizations.get(oid)
         if org is None:
@@ -258,14 +248,12 @@ def classify_collaboration(
                 f"publication '{pub.pub_id}': unknown organization '{unknown}'"
             )
         classes.append(org.org_class)
-        if org.org_class is OrgClass.UNIV_DOMESTIC:
-            university_orgs.append(oid)
     return CollabProfile(
         is_extramural=len(pub.org_ids) >= 2,
+        has_other_university=classes.count(OrgClass.UNIV_DOMESTIC) >= 2,
         has_dpr=OrgClass.DPR_DOMESTIC in classes,
         has_foreign=OrgClass.FOREIGN in classes,
         has_domestic_enterprise=OrgClass.ENTERPRISE_DOMESTIC in classes,
-        university_orgs=frozenset(university_orgs),
     )
 
 
@@ -431,37 +419,30 @@ SECTOR_HEADER = ["sds", "area"]
 
 def _read_csv(path, expected_header: list[str]):
     """Yield (line_number, row) for a strict-header CSV file; a row's line is
-    its first, also when a quoted field spans several."""
+    its first, also when a quoted field spans several; a parse failure (such
+    as a field over the csv size limit) is a load error where the reader stopped."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(_utf8_lines(path, fh))
-        rows = _csv_rows(path, reader)
         try:
-            header = next(rows)
-        except StopIteration:
-            raise CorpusLoadError(path, 1, "missing header row") from None
-        if header != expected_header:
-            raise CorpusLoadError(
-                path, 1, f"expected header {','.join(expected_header)}, got {','.join(header)}"
-            )
-        end = reader.line_num  # the last line read
-        for row in rows:
-            lineno, end = end + 1, reader.line_num
-            if not row:
-                continue
-            if len(row) != len(expected_header):
+            header = next(reader, None)
+            if header is None:
+                raise CorpusLoadError(path, 1, "missing header row")
+            if header != expected_header:
                 raise CorpusLoadError(
-                    path, lineno, f"expected {len(expected_header)} fields, got {len(row)}"
+                    path, 1, f"expected header {','.join(expected_header)}, got {','.join(header)}"
                 )
-            yield lineno, row
-
-
-def _csv_rows(path, reader):
-    """The rows of a csv ``reader`` of ``path``; a parse failure (such as a
-    field over the csv size limit) is a load error where the reader stopped."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise CorpusLoadError(path, reader.line_num, str(exc)) from None
+            end = reader.line_num  # the last line read
+            for row in reader:
+                lineno, end = end + 1, reader.line_num
+                if not row:
+                    continue
+                if len(row) != len(expected_header):
+                    raise CorpusLoadError(
+                        path, lineno, f"expected {len(expected_header)} fields, got {len(row)}"
+                    )
+                yield lineno, row
+        except csv.Error as exc:
+            raise CorpusLoadError(path, reader.line_num, str(exc)) from None
 
 
 def _utf8_lines(path, fh):

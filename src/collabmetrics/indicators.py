@@ -77,7 +77,7 @@ def compute_indicators(corpus: Corpus) -> list[IndicatorRecord]:
         fss_terms = [value * frac for value, frac in zip(ss_terms, fo_terms)]
         profiles = [profile for _pub, profile in pubs]
         n_extramural = sum([p.is_extramural for p in profiles])
-        n_other_univ = sum([p.has_other_domestic_university(univ) for p in profiles])
+        n_other_univ = sum([p.has_other_university for p in profiles])
         n_dpr = sum([p.has_dpr for p in profiles])
         n_foreign = sum([p.has_foreign for p in profiles])
         n_enterprise = sum([p.has_domestic_enterprise for p in profiles])

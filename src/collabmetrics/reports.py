@@ -211,7 +211,7 @@ def _area_profile_pooled(corpus: Corpus) -> list[AreaProfileRow]:
             t[0] += 1
             if profile.is_extramural:
                 t[1] += 1
-            if len(profile.university_orgs) >= 2:
+            if profile.has_other_university:
                 t[2] += 1
             if profile.has_dpr:
                 t[3] += 1

@@ -311,9 +311,8 @@ def _planted_drivers(
     slope = math.fsum(a * b for a, b in zip(e, xhat)) / len(xhat)  # len = xhat's sum of squares
     ehat = _standardized([a - slope * b for a, b in zip(e, xhat)])
     y = [assoc.r * a + math.sqrt(1.0 - assoc.r**2) * b for a, b in zip(xhat, ehat)]
-    if assoc.noise > 0:
-        rng = _rng(params.seed, "plant-noise", assoc.area)
-        y = [v + assoc.noise * _normal(rng) for v in y]
+    rng = _rng(params.seed, "plant-noise", assoc.area)
+    y = [v + assoc.noise * _normal(rng) for v in y]
 
     shares = [min(max(X_CENTER + X_AMPLITUDE * v, 0.03), 0.97) for v in xhat]
     multipliers = [min(max(1.0 + Y_AMPLITUDE * v, 0.15), 1.85) for v in y]
@@ -417,8 +416,6 @@ def generate_corpus(params: SynthParams) -> SynthResult:
                 for year in years:
                     staff_entries[(univ, sds, year)] = head
                 n = round(head * pps)
-                if n <= 0:
-                    continue
 
                 base = params.sds_propensity_overrides.get(
                     sds, params.area_propensity_overrides.get(area, params.collab_propensities)

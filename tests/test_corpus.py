@@ -509,7 +509,7 @@ class TestClassify:
         assert not profile.has_dpr
         assert not profile.has_foreign
         assert not profile.has_domestic_enterprise
-        assert not profile.has_other_domestic_university("UA")
+        assert not profile.has_other_university
 
     def test_foreign_partner(self):
         profile = classify_collaboration(make_pub({"UA", "F1"}), REGISTRY)
@@ -517,12 +517,11 @@ class TestClassify:
         assert profile.has_foreign
         assert not profile.has_dpr
         assert not profile.has_domestic_enterprise
-        assert not profile.has_other_domestic_university("UA")
+        assert not profile.has_other_university
 
     def test_viewpoint_dependence(self):
         profile = classify_collaboration(make_pub({"UA", "UB", "E1"}), REGISTRY)
-        assert profile.has_other_domestic_university("UA")
-        assert profile.has_other_domestic_university("UB")
+        assert profile.has_other_university
         assert profile.has_domestic_enterprise
         assert not profile.has_foreign
 
@@ -565,8 +564,7 @@ class TestClassify:
         assert after.has_dpr >= before.has_dpr
         assert after.has_foreign >= before.has_foreign
         assert after.has_domestic_enterprise >= before.has_domestic_enterprise
-        assert after.has_other_domestic_university("UA") >= \
-            before.has_other_domestic_university("UA")
+        assert after.has_other_university >= before.has_other_university
 
     @given(
         st.sets(st.sampled_from(sorted(REGISTRY)), min_size=1).filter(
@@ -580,10 +578,7 @@ class TestClassify:
             profile.has_dpr
             or profile.has_foreign
             or profile.has_domestic_enterprise
-            or any(
-                profile.has_other_domestic_university(u)
-                for u in ("UA",)  # the attributed university
-            )
+            or profile.has_other_university
         )
         assert profile.is_extramural == any_flag
 
