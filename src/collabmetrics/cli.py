@@ -14,8 +14,9 @@ input, a failed computation, an unusable output path) into a single
 ``error:`` line and exit code 1.  Every command writes inside
 ``_writing``, into a scratch directory within the output directory; only a
 run that completes moves its outputs into place, its manifest last and an
-earlier run's manifest removed first.  So a failed run leaves the output
-directory as it was (or absent, if the run created it).
+earlier run's manifest removed first, and only once each output name there
+is absent or a regular file.  So a failed run leaves the output directory
+as it was (or absent, if the run created it).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import json
 import math
 import os
 import shutil
+import stat
 import sys
 import tempfile
 from pathlib import Path
@@ -68,10 +70,12 @@ def _digest(path: Path) -> str:
 def _writing(out_dir: Path, command: str, config: dict, inputs: list[Path]):
     """Yield a scratch directory inside ``out_dir`` (created if needed) for
     the block to write into.  Once the block completes, this run's manifest
-    joins its outputs, an earlier run's manifest goes, and each file moves
-    into ``out_dir``, the manifest last.  On failure the scratch directory
-    goes, and so do ``out_dir`` and its parents if this run created them;
-    files that the run does not write always survive."""
+    joins its outputs; if each of their names is absent from ``out_dir`` or
+    a regular file there, an earlier run's manifest goes, each file moves
+    into ``out_dir``, the manifest last, and then any other ``.staging-*``
+    directory (a killed run's) goes.  On failure the scratch directory goes,
+    and so do ``out_dir`` and its parents if this run created them; files
+    that the run does not write always survive."""
     created = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
@@ -85,13 +89,20 @@ def _writing(out_dir: Path, command: str, config: dict, inputs: list[Path]):
         with open(staging / MANIFEST_FILENAME, "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
+        moves = sorted(staging.iterdir(), key=lambda p: (p.name == MANIFEST_FILENAME, p.name))
+        for path in moves:
+            with contextlib.suppress(FileNotFoundError):
+                if not stat.S_ISREG(os.lstat(out_dir / path.name).st_mode):
+                    raise OSError(f"{out_dir / path.name}: not a regular file")
         (out_dir / MANIFEST_FILENAME).unlink(missing_ok=True)
-        for path in sorted(staging.iterdir(), key=lambda p: p.name == MANIFEST_FILENAME):
+        for path in moves:
             os.replace(path, out_dir / path.name)
         staging.rmdir()
     except BaseException:
         shutil.rmtree(created[-1] if created else staging, ignore_errors=True)
         raise
+    for stale in out_dir.glob(".staging-*"):
+        shutil.rmtree(stale, ignore_errors=True)
 
 
 INPUT_FILE = click.Path(exists=True, dir_okay=False, path_type=Path)

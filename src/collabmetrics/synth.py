@@ -415,6 +415,9 @@ def generate_corpus(params: SynthParams) -> SynthResult:
                     head = _pick(rng, headcounts)
                 for year in years:
                     staff_entries[(univ, sds, year)] = head
+                if not head * pps < sys.maxsize:  # a cell's count must fit in an index
+                    raise SynthParamsError(f"pubs_per_staff_mean gives {univ}/{sds} "
+                                           f"{head * pps} publications, not below {sys.maxsize}")
                 n = round(head * pps)
 
                 base = params.sds_propensity_overrides.get(

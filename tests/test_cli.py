@@ -441,6 +441,11 @@ class TestSynthCommand:
                      id="if_lognormal-infinite"),
         pytest.param(b'{"pubs_per_staff_mean": NaN}', "pubs_per_staff_mean",
                      id="pubs_per_staff_mean-nan"),
+        # finite, but a cell's publication count no list can hold, or an infinite one
+        pytest.param(b'{"pubs_per_staff_mean": 1e300}', "error: pubs_per_staff_mean gives",
+                     id="pubs_per_staff_mean-1e300"),
+        pytest.param(b'{"pubs_per_staff_mean": 1e308}', "error: pubs_per_staff_mean gives",
+                     id="pubs_per_staff_mean-1e308"),
         # an integer beyond the largest float
         pytest.param(b'{"pubs_per_staff_mean": ' + b"9" * 400 + b"}", "pubs_per_staff_mean",
                      id="pubs_per_staff_mean-huge-integer"),
@@ -925,6 +930,41 @@ class TestPipeline:
         )
         assert_clean_failure(result)
         assert snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("command,name", [("all", "top_sectors_fci.csv"),
+                                              ("indicators", "indicators.csv")])
+    def test_output_name_not_a_regular_file_fails_before_moving(
+        self, runner, tmp_path, command, name
+    ):
+        argv = [command, *corpus_args(_golden_copy(tmp_path)), "--out", str(tmp_path / "out")]
+        result = runner.invoke(cli, argv)
+        assert result.exit_code == 0, result.output
+        target = tmp_path / "out" / name
+        target.unlink()
+        target.mkdir()
+        (target / "kept.txt").write_text("not an output\n")
+        before = snapshot(tmp_path / "out")
+
+        result = runner.invoke(cli, argv)
+        assert_clean_failure(result)
+        assert result.stderr.splitlines()[-1] == f"error: {target}: not a regular file"
+        assert snapshot(tmp_path / "out") == before
+
+    @pytest.mark.parametrize("succeeds", [True, False])
+    def test_stale_staging_cleared_by_a_successful_run_only(self, runner, tmp_path, succeeds):
+        # every sector has 2 publications, fewer than per-sector quartiles need
+        data = tmp_path / "data"
+        write_synthetic(generate_corpus(TWO_PUBLICATION_SECTORS), data)
+        stale = tmp_path / "out" / ".staging-stale"
+        stale.mkdir(parents=True)
+        (stale / "indicators.csv").write_text("a killed run's output\n")
+        flags = [] if succeeds else ["--quartile-scope", "per-sector"]
+
+        result = runner.invoke(cli, ["all", *corpus_args(data), "--out", str(tmp_path / "out"),
+                                     *flags])
+        assert result.exit_code == (0 if succeeds else 1), result.output
+        assert stale.exists() is not succeeds
+        assert (tmp_path / "out" / "run_manifest.json").exists() is succeeds
 
     @pytest.mark.parametrize("command", ["all", "report"])
     def test_global_quartiles_need_four_publications(self, runner, data_dir, tmp_path, command):
