@@ -122,10 +122,7 @@ class SectorMap:
     entries: Mapping[str, str]
 
     def area_of(self, sds: str) -> str:
-        try:
-            return self.entries[sds]
-        except KeyError:
-            raise CorpusError(f"sds '{sds}' is not mapped to any area") from None
+        return self.entries[sds]
 
     def areas(self) -> list[str]:
         return sorted(set(self.entries.values()))
@@ -143,7 +140,8 @@ class Corpus:
     set, so equal sets share one profile), ``publications_by_sds`` and
     ``normalized_ifs`` (sector-normalized impact factors).  Each depends
     only on fields that never change, so a cached value cannot go stale
-    (``dataclasses.replace`` gives a fresh cache).
+    (``dataclasses.replace`` gives a fresh cache).  They assume a corpus
+    that passed ``validate_corpus``: a broken reference raises ``KeyError``.
     """
 
     publications: tuple[Publication, ...]
@@ -180,12 +178,11 @@ class Corpus:
         normalized value over the sector's publications is one."""
         table = {}
         for sds, pubs in self.publications_by_sds.items():
-            raws = [_raw_impact(self, p) for p in pubs]
+            raws = [self.journals[p.journal_id][p.year] for p in pubs]
             try:
                 # exact summation keeps the result independent of publication order
                 mean = math.fsum(raws) / len(raws)
-            # finite impact factors too large to add up, or (in a corpus built in
-            # code) infinities of both signs
+            # too large to add up, or (in a corpus built in code) infinities of both signs
             except (OverflowError, ValueError) as exc:
                 raise IndicatorError(f"sector '{sds}', impact factor mean: {exc}") from None
             if mean == 0.0:
@@ -194,20 +191,6 @@ class Corpus:
                 )
             table[sds] = {(p.journal_id, p.year): raw / mean for p, raw in zip(pubs, raws)}
         return table
-
-
-def _raw_impact(corpus: Corpus, pub: Publication) -> float:
-    impacts = corpus.journals.get(pub.journal_id)
-    if impacts is None:
-        raise IndicatorError(
-            f"publication '{pub.pub_id}': dangling journal '{pub.journal_id}'"
-        )
-    impact = impacts.get(pub.year)
-    if impact is None:
-        raise IndicatorError(
-            f"missing impact factor for journal '{pub.journal_id}' year {pub.year}"
-        )
-    return impact
 
 
 @dataclass(frozen=True)
@@ -238,16 +221,11 @@ class CollabProfile:
 def classify_collaboration(
     pub: Publication, organizations: Mapping[str, Organization]
 ) -> CollabProfile:
-    """Collaboration flags of a publication against an organization registry."""
+    """Collaboration flags of a publication in a corpus that passed
+    ``validate_corpus``; an unknown organization raises ``KeyError``."""
     classes = []
     for oid in pub.org_ids:
-        org = organizations.get(oid)
-        if org is None:
-            unknown = min(o for o in pub.org_ids if o not in organizations)
-            raise CorpusError(
-                f"publication '{pub.pub_id}': unknown organization '{unknown}'"
-            )
-        classes.append(org.org_class)
+        classes.append(organizations[oid].org_class)
     return CollabProfile(
         is_extramural=len(pub.org_ids) >= 2,
         has_other_university=classes.count(OrgClass.UNIV_DOMESTIC) >= 2,

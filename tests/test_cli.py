@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import json
@@ -1015,7 +1016,7 @@ class TestPipeline:
     ):
         from collabmetrics import corpus, indicators
 
-        calls = {"classify": 0, "compute": 0, "impact": 0}
+        calls = {"classify": 0, "compute": 0, "normalize": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -1027,16 +1028,19 @@ class TestPipeline:
                             counted("classify", corpus.classify_collaboration))
         monkeypatch.setattr(indicators, "compute_indicators",
                             counted("compute", indicators.compute_indicators))
-        monkeypatch.setattr(corpus, "_raw_impact", counted("impact", corpus._raw_impact))
+        # a fresh cached property, so that each evaluation is counted and cached
+        normalized_ifs = functools.cached_property(
+            counted("normalize", corpus.Corpus.__dict__["normalized_ifs"].func))
+        normalized_ifs.__set_name__(corpus.Corpus, "normalized_ifs")
+        monkeypatch.setattr(corpus.Corpus, "normalized_ifs", normalized_ifs)
         pubs = [json.loads(line) for line in
                 (data_dir / "publications.jsonl").read_text().splitlines()]
-        credited = sum(len({a["sds"] for a in p["attributions"]}) for p in pubs)
         org_sets = len({frozenset(p["orgs"]) for p in pubs})
         result = runner.invoke(
             cli, argv[:1] + corpus_args(data_dir) + ["--out", str(tmp_path / "out")] + argv[1:]
         )
         assert result.exit_code == 0, result.output
-        assert calls == {"classify": org_sets, "compute": 1, "impact": credited}
+        assert calls == {"classify": org_sets, "compute": 1, "normalize": 1}
 
 
 @pytest.mark.parametrize("command", ["validate", "indicators", "report", "all"])

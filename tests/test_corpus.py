@@ -1,11 +1,7 @@
 import dataclasses
 import json
-import os
 import random
-import re
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,10 +11,8 @@ from collabmetrics.corpus import (
     Attribution,
     Corpus,
     CorpusConfig,
-    CorpusError,
     CorpusLoadError,
     CorpusValidationError,
-    IndicatorError,
     Organization,
     OrgClass,
     Publication,
@@ -348,19 +342,6 @@ class TestValidate:
         assert any("dangling org_id" in m for m in messages)
         assert any("dangling sds" in m for m in messages)
 
-    @pytest.mark.parametrize("derive,error,message", [
-        pytest.param(lambda corpus: corpus.sectors.area_of("S9"), CorpusError,
-                     "sds 'S9' is not mapped to any area", id="unmapped-sector"),
-        pytest.param(lambda corpus: dataclasses.replace(
-            corpus, publications=(pub_with(journal_id="J9"),)).normalized_ifs,
-                     IndicatorError, "publication 'p1': dangling journal 'J9'",
-                     id="dangling-journal"),
-    ])
-    def test_derived_fact_names_its_broken_reference(self, tmp_path, derive, error, message):
-        corpus = load_from(write_minimal_files(tmp_path))
-        with pytest.raises(error, match=re.escape(message)):
-            derive(corpus)
-
     def test_dangling_org_counted_per_publication_of_equal_sets(self, tmp_path):
         corpus = load_from(write_minimal_files(tmp_path))
         pubs = tuple(pub_with(pub_id=pub_id, org_ids=frozenset(["UA", "GHOST"]))
@@ -524,31 +505,6 @@ class TestClassify:
         assert profile.has_other_university
         assert profile.has_domestic_enterprise
         assert not profile.has_foreign
-
-    def test_smallest_unknown_organization_named_under_any_hash_seed(self):
-        import collabmetrics
-
-        code = (
-            "from collabmetrics.corpus import *\n"
-            "pub = Publication('p1', 2001, 'J1', frozenset({'UA', 'GHOST1', 'GHOST2', 'GHOST3'}),"
-            " (Attribution('UA', 'S1'),))\n"
-            "ua = Organization('UA', 'University A', OrgClass.UNIV_DOMESTIC, 'IT')\n"
-            "try:\n"
-            "    classify_collaboration(pub, {'UA': ua})\n"
-            "except CorpusError as exc:\n"
-            "    print(exc)\n"
-        )
-        src = str(Path(collabmetrics.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        for seed in ("0", "1", "2", "3"):
-            proc = subprocess.run(
-                [sys.executable, "-c", code],
-                env=dict(os.environ, PYTHONHASHSEED=seed,
-                         PYTHONPATH=src + (os.pathsep + path if path else "")),
-                capture_output=True, text=True, timeout=60,
-            )
-            assert proc.returncode == 0, proc.stderr
-            assert proc.stdout == "publication 'p1': unknown organization 'GHOST1'\n", seed
 
     @given(
         st.sets(st.sampled_from(sorted(REGISTRY)), min_size=1).filter(

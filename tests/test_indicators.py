@@ -14,7 +14,6 @@ from collabmetrics.corpus import (
     StaffRoster,
 )
 from collabmetrics.indicators import (
-    IndicatorError,
     compute_indicators,
     fractional_contribution,
 )
@@ -112,12 +111,6 @@ class TestNormalizedImpactFactor:
     def test_empty_sector_gives_empty_map(self):
         corpus = build_corpus([], {"J1": {2001: 1.0}})
         assert corpus.normalized_ifs == {}
-
-    def test_missing_impact_factor_names_pair(self):
-        journals = {"J1": {2002: 1.0}}
-        corpus = build_corpus([pub("p1", "J1", {"UA"}, year=2001)], journals)
-        with pytest.raises(IndicatorError, match="'J1' year 2001"):
-            corpus.normalized_ifs
 
 
 def hand_worked_corpus():
