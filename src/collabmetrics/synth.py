@@ -156,6 +156,16 @@ def _pick(rng: random.Random, options):
     return options[int(rng.random() * len(options))]
 
 
+def _exp(x: float, cause: str) -> float:
+    """``math.exp(x)``; a result beyond the largest float fails naming ``cause``."""
+    try:
+        if (value := math.exp(x)) < math.inf:  # not from an exponent that is inf or nan
+            return value
+    except OverflowError:
+        pass
+    raise SynthParamsError(f"{cause} beyond the largest float")
+
+
 def _layout(params: SynthParams) -> tuple[list[str], list[str], dict[str, str]]:
     """The generated university ids, area ids and ``{sds: area}`` sector map."""
     areas = [f"A{i:02d}" for i in range(1, params.n_areas + 1)]
@@ -367,10 +377,9 @@ def generate_corpus(params: SynthParams) -> SynthResult:
         journals_by_sds[sds] = ids
         for jid in ids:
             rng = _rng(seed, "journal", jid)
-            journals[jid] = {
-                year: max(round(math.exp(mu + sigma * _normal(rng)), 4), 0.0001)
-                for year in years
-            }
+            cause = f"if_lognormal and sector_if_spread give journal {jid} an impact factor"
+            journals[jid] = {year: max(round(_exp(mu + sigma * _normal(rng), cause), 4), 0.0001)
+                             for year in years}
 
     planted_by_area = {a.area: a for a in params.planted_associations}
     # area -> (association, collaboration share and productivity multiplier by university)
@@ -402,11 +411,14 @@ def generate_corpus(params: SynthParams) -> SynthResult:
         for area in areas:
             rng = _rng(seed, "area", univ, area)
             assoc, shares, planted_prod = planted.get(area, (None, {}, {}))
-            prod = planted_prod[univ] if assoc else math.exp(
-                params.productivity_spread * _normal(rng))
+            prod = planted_prod[univ] if assoc else _exp(
+                params.productivity_spread * _normal(rng),
+                f"productivity_spread gives {univ}/{area} a productivity multiplier")
             collab_mult = 1.0
             if params.collab_variation > 0:
-                collab_mult = math.exp(params.collab_variation * _normal(rng))
+                collab_mult = _exp(
+                    params.collab_variation * _normal(rng),
+                    f"collab_variation gives {univ}/{area} a collaboration multiplier")
             pps = params.pubs_per_staff_mean * prod
 
             for sds in sectors_of[area]:

@@ -384,6 +384,10 @@ class TestLoaderRejections:
         assert runs[0] == runs[1]
 
 
+# the keys an impact factor beyond the largest float names
+IMPACT_FACTOR_KEYS = "error: if_lognormal and sector_if_spread give journal"
+
+
 class TestSynthCommand:
     def test_writes_corpus_and_ground_truth(self, runner, tmp_path):
         out = tmp_path / "synth"
@@ -447,6 +451,20 @@ class TestSynthCommand:
                      id="pubs_per_staff_mean-1e300"),
         pytest.param(b'{"pubs_per_staff_mean": 1e308}', "error: pubs_per_staff_mean gives",
                      id="pubs_per_staff_mean-1e308"),
+        # finite, but an exp draw beyond the largest float, or an infinite exponent
+        pytest.param(b'{"sector_if_spread": 1000}', IMPACT_FACTOR_KEYS,
+                     id="sector_if_spread-exp-overflow"),
+        pytest.param(b'{"if_lognormal": [1000, 0.6]}', IMPACT_FACTOR_KEYS,
+                     id="if_lognormal-mean-exp-overflow"),
+        pytest.param(b'{"if_lognormal": [0, 1000]}', IMPACT_FACTOR_KEYS,
+                     id="if_lognormal-sigma-exp-overflow"),
+        pytest.param(json.dumps({"if_lognormal": [1e308, 0.6], "sector_if_spread": 1e308,
+                                 "n_areas": 1, "sds_per_area": 1, "n_universities": 2}).encode(),
+                     IMPACT_FACTOR_KEYS, id="if_lognormal-infinite-exponent"),
+        pytest.param(b'{"collab_variation": 1000}', "error: collab_variation gives",
+                     id="collab_variation-exp-overflow"),
+        pytest.param(b'{"productivity_spread": 1000000}', "error: productivity_spread gives",
+                     id="productivity_spread-exp-overflow"),
         # an integer beyond the largest float
         pytest.param(b'{"pubs_per_staff_mean": ' + b"9" * 400 + b"}", "pubs_per_staff_mean",
                      id="pubs_per_staff_mean-huge-integer"),

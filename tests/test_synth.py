@@ -2,6 +2,7 @@ import collections
 import json
 import math
 import re
+import sys
 
 import pytest
 
@@ -275,10 +276,26 @@ class TestParamValidation:
         pytest.param({"planted_associations": (
             PlantedAssociation("A01", "FCI", "P", 0.5), PlantedAssociation("A01", "DCI", "QP", 0.2),
         )}, "at most one planted association per area", id="two-associations-in-one-area"),
+        pytest.param({"staff_range": (0, sys.maxsize)},
+                     f"staff_range[1] must be below {sys.maxsize}, got {sys.maxsize}",
+                     id="staff_range-maxsize"),
     ])
     def test_out_of_range_value_rejected(self, overrides, message):
         with pytest.raises(SynthParamsError, match=re.escape(message)):
             generate_corpus(SynthParams(seed=1, n_universities=3, **overrides))
+
+    @pytest.mark.parametrize("overrides", [
+        pytest.param({"collab_propensities": Propensities(foreign=1.0)}, id="propensity-1"),
+        pytest.param({"staff_range": (3, 3)}, id="staff_range-one-size"),
+        pytest.param({"if_lognormal": (0.0, 0.0)}, id="if_lognormal-sigma-0"),
+        pytest.param({"if_lognormal": (-sys.float_info.max, 0.6)}, id="if_lognormal-lowest-mean"),
+        *(pytest.param({"planted_associations": (PlantedAssociation("A01", "FCI", "P", r),)},
+                       id=f"r{r:+}-noise-0") for r in (-1.0, 1.0)),
+    ])
+    def test_edge_value_generates_a_valid_corpus(self, overrides, tmp_path):
+        corpus = generate_corpus(SynthParams(seed=1, n_universities=3, **overrides)).corpus
+        paths = write_corpus(corpus, tmp_path)
+        load_corpus(*paths.values(), CorpusConfig(period=corpus.period))
 
     @pytest.mark.parametrize("overrides,name", [
         pytest.param({"if_lognormal": (0.0, math.inf)}, "if_lognormal[1]", id="if_lognormal-inf"),
