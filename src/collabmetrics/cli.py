@@ -15,8 +15,9 @@ input, a failed computation, an unusable output path) into a single
 ``_writing``, into a scratch directory within the output directory; only a
 run that completes moves its outputs into place, its manifest last and an
 earlier run's manifest removed first, and only once each output name there
-is absent or a regular file.  So a failed run leaves the output directory
-as it was (or absent, if the run created it).
+is absent or a regular file; then every ``.staging-*`` directory there goes
+(its own, empty by then, and any a killed run left).  So a failed run
+leaves the output directory as it was (or absent, if the run created it).
 """
 
 from __future__ import annotations
@@ -72,10 +73,10 @@ def _writing(out_dir: Path, command: str, config: dict, inputs: list[Path]):
     the block to write into.  Once the block completes, this run's manifest
     joins its outputs; if each of their names is absent from ``out_dir`` or
     a regular file there, an earlier run's manifest goes, each file moves
-    into ``out_dir``, the manifest last, and then any other ``.staging-*``
-    directory (a killed run's) goes.  On failure the scratch directory goes,
-    and so do ``out_dir`` and its parents if this run created them; files
-    that the run does not write always survive."""
+    into ``out_dir``, the manifest last, and every ``.staging-*`` directory
+    goes (this run's, empty by then, and a killed run's).  On failure the
+    scratch directory goes, and so do ``out_dir`` and its parents if this
+    run created them; files that the run does not write always survive."""
     created = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
@@ -97,7 +98,6 @@ def _writing(out_dir: Path, command: str, config: dict, inputs: list[Path]):
         (out_dir / MANIFEST_FILENAME).unlink(missing_ok=True)
         for path in moves:
             os.replace(path, out_dir / path.name)
-        staging.rmdir()
     except BaseException:
         shutil.rmtree(created[-1] if created else staging, ignore_errors=True)
         raise
@@ -192,8 +192,7 @@ class _Pipeline(click.Group):
         gc.disable()
         try:
             return super().invoke(ctx)
-        except (CorpusError, ind.IndicatorError, agg.AggregateError, reports.ReportError,
-                ValueError, OSError, OverflowError) as exc:
+        except (CorpusError, reports.ReportError, ValueError, OSError, OverflowError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
         except MemoryError:

@@ -149,7 +149,6 @@ class Corpus:
     journals: Mapping[str, Mapping[int, float]]  # journal id -> {year: impact factor}
     staff: StaffRoster
     sectors: SectorMap
-    home_country: str
     period: tuple[int, int]
 
     @cached_property
@@ -677,7 +676,6 @@ def load_corpus(
         journals=load_journals(journal_path),
         staff=load_staff(staff_path, config.period),
         sectors=load_sectors(sector_path),
-        home_country=config.home_country,
         period=config.period,
     )
     if check:

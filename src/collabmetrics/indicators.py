@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .corpus import CollabProfile, Corpus, CorpusLoadError, IndicatorError, Publication
+from .corpus import CollabProfile, Corpus, CorpusLoadError, Publication
 from .corpus import SectorMap, _cell, _read_stage_table, _write_csv
 
 

@@ -52,41 +52,28 @@ def clean_pairs(x: Sequence, y: Sequence) -> list[tuple[float, float]]:
     ]
 
 
-def _moments(pairs: list[tuple[float, float]]) -> tuple[float, float, float]:
-    """Centered second moments (Sxx, Syy, Sxy) of paired observations.
-
-    Constant series report an exact zero moment (the mean of n equal
-    floats can round one ulp away from them, leaving a spurious
-    residue).
-    """
-    n = len(pairs)
-    xs = [a for a, _ in pairs]
-    ys = [b for _, b in pairs]
-    mx = math.fsum(xs) / n
-    my = math.fsum(ys) / n
-    x_const = min(xs) == max(xs)
-    y_const = min(ys) == max(ys)
-    sxx = 0.0 if x_const else math.fsum((a - mx) ** 2 for a in xs)
-    syy = 0.0 if y_const else math.fsum((b - my) ** 2 for b in ys)
-    if x_const or y_const:
-        sxy = 0.0
-    else:
-        sxy = math.fsum((a - mx) * (b - my) for a, b in pairs)
-    return sxx, syy, sxy
-
-
 def associate(x: Sequence, y: Sequence) -> AssociationStats | None:
     """Correlation plus simple regression of y on x.
 
-    ``None`` when either statistic is undefined (n < 3 or zero
-    variance on either side).
+    ``None`` when either statistic is undefined (n < 3 or zero variance
+    on either side).  A constant series is ``None`` before any deviation
+    is taken: the mean of n equal floats can round one ulp away from them,
+    leaving a spurious variance (about 5.8e-34 for three 0.1s).
     """
     pairs = clean_pairs(x, y)
     if len(pairs) < 3:
         return None
-    sxx, syy, sxy = _moments(pairs)
-    if sxx == 0.0 or syy == 0.0:
+    xs = [a for a, _ in pairs]
+    ys = [b for _, b in pairs]
+    if min(xs) == max(xs) or min(ys) == max(ys):
         return None
+    mx = math.fsum(xs) / len(pairs)
+    my = math.fsum(ys) / len(pairs)
+    sxx = math.fsum((a - mx) ** 2 for a in xs)
+    syy = math.fsum((b - my) ** 2 for b in ys)
+    if sxx == 0.0 or syy == 0.0:  # deviations too small to square
+        return None
+    sxy = math.fsum((a - mx) * (b - my) for a, b in pairs)
     # sxx * syy can underflow to 0 when neither moment is 0
     r = sxy / (math.sqrt(sxx * syy) or math.sqrt(sxx) * math.sqrt(syy))
     beta = sxy / sxx

@@ -428,8 +428,9 @@ def generate_corpus(params: SynthParams) -> SynthResult:
                 for year in years:
                     staff_entries[(univ, sds, year)] = head
                 if not head * pps < sys.maxsize:  # a cell's count must fit in an index
-                    raise SynthParamsError(f"pubs_per_staff_mean gives {univ}/{sds} "
-                                           f"{head * pps} publications, not below {sys.maxsize}")
+                    raise SynthParamsError(
+                        f"pubs_per_staff_mean and productivity_spread give {univ}/{sds} "
+                        f"{head * pps} publications, not below {sys.maxsize}")
                 n = round(head * pps)
 
                 base = params.sds_propensity_overrides.get(
@@ -473,7 +474,6 @@ def generate_corpus(params: SynthParams) -> SynthResult:
         journals=journals,
         staff=StaffRoster(entries=staff_entries),
         sectors=SectorMap(entries=sector_entries),
-        home_country=config.home_country,
         period=period,
     )
     ground_truth = GroundTruth(

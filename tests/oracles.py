@@ -83,7 +83,6 @@ def make_random_corpus(rng: random.Random, max_pubs: int = 50) -> Corpus:
         journals=journals,
         staff=StaffRoster(entries=staff_entries),
         sectors=sectors,
-        home_country="IT",
         period=period,
     )
 

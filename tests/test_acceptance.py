@@ -307,7 +307,6 @@ def test_criterion_9_exclusion_rule():
             journals={},
             staff=StaffRoster(entries=staff_entries),
             sectors=SectorMap(entries={"S1": "A1"}),
-            home_country="IT",
             period=period,
         )
         records = compute_indicators(corpus)

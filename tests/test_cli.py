@@ -386,6 +386,7 @@ class TestLoaderRejections:
 
 # the keys an impact factor beyond the largest float names
 IMPACT_FACTOR_KEYS = "error: if_lognormal and sector_if_spread give journal"
+CELL_SIZE_KEYS = "error: pubs_per_staff_mean and productivity_spread give U001/"
 
 
 class TestSynthCommand:
@@ -447,10 +448,12 @@ class TestSynthCommand:
         pytest.param(b'{"pubs_per_staff_mean": NaN}', "pubs_per_staff_mean",
                      id="pubs_per_staff_mean-nan"),
         # finite, but a cell's publication count no list can hold, or an infinite one
-        pytest.param(b'{"pubs_per_staff_mean": 1e300}', "error: pubs_per_staff_mean gives",
+        pytest.param(b'{"pubs_per_staff_mean": 1e300}', CELL_SIZE_KEYS,
                      id="pubs_per_staff_mean-1e300"),
-        pytest.param(b'{"pubs_per_staff_mean": 1e308}', "error: pubs_per_staff_mean gives",
+        pytest.param(b'{"pubs_per_staff_mean": 1e308}', CELL_SIZE_KEYS,
                      id="pubs_per_staff_mean-1e308"),
+        pytest.param(b'{"productivity_spread": 200}', CELL_SIZE_KEYS,
+                     id="productivity_spread-cell-size"),
         # finite, but an exp draw beyond the largest float, or an infinite exponent
         pytest.param(b'{"sector_if_spread": 1000}', IMPACT_FACTOR_KEYS,
                      id="sector_if_spread-exp-overflow"),
@@ -480,6 +483,11 @@ class TestSynthCommand:
         pytest.param(json.dumps({"sds_per_area": 2, "sds_propensity_overrides": {"A01S03": {}}})
                      .encode(), "sds_propensity_overrides[A01S03]",
                      id="sds_propensity_overrides-unknown-sector"),
+        pytest.param(b'{"area_propensity_overrides": {"A01": {"dpr": 1.5}}}',
+                     "area_propensity_overrides[A01].dpr", id="area_propensity_overrides-dpr"),
+        pytest.param(b'{"sds_propensity_overrides": {"A01S01": {"foreign": -0.1}}}',
+                     "sds_propensity_overrides[A01S01].foreign",
+                     id="sds_propensity_overrides-foreign"),
         # synth generates for the default configuration, with fixed partner pools
         *(pytest.param(json.dumps({name: value}).encode(), f"unknown key '{name}'",
                        id=f"{name}-removed")
@@ -984,6 +992,28 @@ class TestPipeline:
         assert result.exit_code == (0 if succeeds else 1), result.output
         assert stale.exists() is not succeeds
         assert (tmp_path / "out" / "run_manifest.json").exists() is succeeds
+
+    def test_failed_move_leaves_no_manifest(self, runner, tmp_path, monkeypatch):
+        from collabmetrics import cli as cli_module
+
+        out = tmp_path / "out"
+        argv = ["all", *corpus_args(_golden_copy(tmp_path)), "--out", str(out)]
+        result = runner.invoke(cli, argv)
+        assert result.exit_code == 0, result.output
+        replace, moved = os.replace, []
+
+        def fail_second(src, dst):
+            moved.append(dst)
+            if len(moved) == 2:
+                raise OSError(f"{dst}: move failed")
+            replace(src, dst)
+
+        monkeypatch.setattr(cli_module.os, "replace", fail_second)
+        result = runner.invoke(cli, argv)
+        assert_clean_failure(result)
+        # the earlier run's manifest went before the first move: no manifest
+        # vouches for the mix of old and new outputs
+        assert not (out / "run_manifest.json").exists()
 
     @pytest.mark.parametrize("command", ["all", "report"])
     def test_global_quartiles_need_four_publications(self, runner, data_dir, tmp_path, command):

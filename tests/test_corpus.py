@@ -151,6 +151,17 @@ class TestLoad:
         with pytest.raises(CorpusLoadError, match="publications.jsonl:1"):
             load_from(paths)
 
+    def test_file_changed_since_a_decoding_failure_named_without_line(
+        self, tmp_path, monkeypatch
+    ):
+        paths = write_minimal_files(tmp_path)
+        paths["orgs"].write_bytes(paths["orgs"].read_bytes().replace(b"Institute", b"\xff"))
+        # the re-read that locates the bad byte finds a clean file
+        monkeypatch.setattr(type(paths["orgs"]), "read_bytes", lambda self: b"")
+        with pytest.raises(CorpusLoadError) as info:
+            load_from(paths)
+        assert str(info.value) == f"{paths['orgs']}: not valid UTF-8"
+
     def test_bad_header_rejected(self, tmp_path):
         paths = write_minimal_files(tmp_path)
         paths["staff"].write_text("univ,sds,year,n\n", encoding="utf-8")
@@ -333,7 +344,6 @@ class TestValidate:
             journals={"J1": {2001: 1.0}},
             staff=StaffRoster(entries={}),
             sectors=SectorMap(entries={"S1": "A1"}),
-            home_country="IT",
             period=(2001, 2003),
         )
         report = validate_corpus(corpus)
@@ -545,5 +555,5 @@ class TestRandomCorpora:
         for i in range(15):
             corpus = make_random_corpus(rng)
             paths = write_corpus(corpus, tmp_path / str(i))
-            config = CorpusConfig(home_country=corpus.home_country, period=corpus.period)
+            config = CorpusConfig(home_country="IT", period=corpus.period)
             load_corpus(*paths.values(), config)  # the loaders check each record

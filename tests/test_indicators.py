@@ -36,7 +36,6 @@ def build_corpus(publications, journals, staff=None, sectors=None, period=(2001,
         journals=journals,
         staff=StaffRoster(entries=staff or {}),
         sectors=SectorMap(entries=sectors or {"S1": "A1"}),
-        home_country="IT",
         period=period,
     )
 
@@ -205,7 +204,6 @@ class TestComputeIndicators:
             journals=corpus.journals,
             staff=corpus.staff,
             sectors=corpus.sectors,
-            home_country=corpus.home_country,
             period=corpus.period,
         )
         assert compute_indicators(corpus) == compute_indicators(permuted)
@@ -240,7 +238,6 @@ class TestComputeIndicators:
                 journals=corpus.journals,
                 staff=corpus.staff,
                 sectors=corpus.sectors,
-                home_country=corpus.home_country,
                 period=corpus.period,
             )
             for rec in compute_indicators(reduced):

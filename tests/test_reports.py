@@ -129,7 +129,6 @@ def intramural_corpus():
         journals=journals,
         staff=StaffRoster(entries={("UA", "S1", 2001): 3}),
         sectors=SectorMap(entries={"S1": "A1"}),
-        home_country="IT",
         period=(2001, 2003),
     )
 
@@ -219,7 +218,6 @@ def profile_corpus():
         journals=journals,
         staff=StaffRoster(entries={("UA", "S1", 2001): 6}),
         sectors=SectorMap(entries={"S1": "A1"}),
-        home_country="IT",
         period=(2001, 2003),
     )
 
@@ -424,6 +422,7 @@ class TestCorrelationTable:
         kept = filter_small_universities(aggs).kept
         table = build_correlation_table(kept, "FCI")
         assert table.cells
+        assert table.notes.keys().isdisjoint(table.cells)
         for cell in table.cells.values():
             assert abs(cell.r_squared - cell.r**2) < 1e-10
 

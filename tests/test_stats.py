@@ -32,6 +32,18 @@ class TestPearson:
         # Sxx * Syy underflows to 0 although neither moment is 0
         assert stats.associate([0, 0, 1e-59], [0, 0, 1e-143]).r == pytest.approx(1.0)
 
+    def test_constant_series_undefined_before_any_moment(self):
+        # the mean of three equal floats misses them by an ulp: squared
+        # deviations sum to about 5.8e-34, not 0
+        assert stats.associate([0.1] * 3, [1, 2, 3]) is None
+        assert stats.associate([1, 2, 3], [0.7] * 3) is None
+        # equal values too large to sum are constant all the same
+        assert stats.associate([1e308] * 3, [1, 2, 3]) is None
+
+    def test_moment_underflowing_to_zero_undefined(self):
+        # x varies, but its squared deviations underflow: Sxx is 0 and beta undefined
+        assert stats.associate([0, 0, 1e-200], [0, 1, 2]) is None
+
     def test_missing_values_dropped_pairwise(self):
         r = stats.associate([1, None, 2, 3, float("nan")], [2, 9, 4, 6, 1]).r
         assert r == pytest.approx(1.0)
