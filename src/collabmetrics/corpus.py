@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, get_type_hints
+from typing import Iterable, KeysView, Mapping, get_type_hints
 
 
 class CorpusError(Exception):
@@ -36,10 +36,6 @@ class CorpusLoadError(CorpusError):
         if field:
             message = f"field '{field}': {message}"
         super().__init__(f"{where}: {message}")
-
-
-class IndicatorError(Exception):
-    """A precondition of indicator computation does not hold."""
 
 
 class CorpusValidationError(CorpusError):
@@ -94,25 +90,21 @@ class Publication:
 
 @dataclass(frozen=True)
 class StaffRoster:
-    """Headcounts keyed by (university, sds, year), as of 31 Dec of year-1."""
+    """Headcounts ``{(university, sds): {year: headcount}}``, as of 31 Dec of year-1."""
 
-    entries: Mapping[tuple[str, str, int], int]
+    entries: Mapping[tuple[str, str], Mapping[int, int]]
 
     def period_average(self, university: str, sds: str, period: tuple[int, int]) -> float:
         """Mean yearly headcount over the period; missing years count as 0."""
-        years = range(period[0], period[1] + 1)
+        heads = self.entries.get((university, sds), {})
         total = 0
-        for year in years:
-            total += self.entries.get((university, sds, year), 0)
-        return total / len(years)
+        for year in range(period[0], period[1] + 1):
+            total += heads.get(year, 0)
+        return total / (period[1] - period[0] + 1)
 
-    def pairs(self) -> frozenset[tuple[str, str]]:
-        """The (university, sds) pairs with a roster entry."""
-        return self._pairs
-
-    @cached_property
-    def _pairs(self) -> frozenset[tuple[str, str]]:
-        return frozenset([(u, s) for (u, s, _y) in self.entries])
+    def pairs(self) -> KeysView[tuple[str, str]]:
+        """The (university, sds) pairs with a roster entry: the keys."""
+        return self.entries.keys()
 
 
 @dataclass(frozen=True)
@@ -183,11 +175,10 @@ class Corpus:
                 mean = math.fsum(raws) / len(raws)
             # too large to add up, or (in a corpus built in code) infinities of both signs
             except (OverflowError, ValueError) as exc:
-                raise IndicatorError(f"sector '{sds}', impact factor mean: {exc}") from None
+                raise CorpusError(f"sector '{sds}', impact factor mean: {exc}") from None
             if mean == 0.0:
-                raise IndicatorError(
-                    f"sector '{sds}': all impact factors are zero, normalization undefined"
-                )
+                raise CorpusError(f"sector '{sds}': all impact factors are zero, "
+                                  "normalization undefined")
             table[sds] = {(p.journal_id, p.year): raw / mean for p, raw in zip(pubs, raws)}
         return table
 
@@ -337,9 +328,9 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
     roster_pairs = corpus.staff.pairs()
     organizations, sectors = corpus.organizations, corpus.sectors.entries
 
-    for (_u, sds, _y) in corpus.staff.entries:
+    for (_u, sds), heads in corpus.staff.entries.items():
         if sds not in sectors:
-            faults[_SDS, (sds,)] += 1
+            faults[_SDS, (sds,)] += len(heads)  # staff rows, as the message says
 
     for pub in pubs:
         impacts = corpus.journals.get(pub.journal_id)
@@ -379,7 +370,7 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
     if not any(ref in (_JOURNAL, _IMPACT) for ref, _key in faults):
         try:
             corpus.normalized_ifs  # cached: the indicators and reports use it next
-        except IndicatorError as exc:  # an all-zero or overflowing sector mean
+        except CorpusError as exc:  # an all-zero or overflowing sector mean
             issues.append(ValidationIssue("error", "journals", str(exc)))
     return ValidationReport(issues=tuple(issues))
 
@@ -537,7 +528,7 @@ def load_journals(path) -> dict[str, dict[int, float]]:
 
 
 def load_staff(path, period: tuple[int, int]) -> StaffRoster:
-    entries: dict[tuple[str, str, int], int] = {}
+    entries: dict[tuple[str, str], dict[int, int]] = {}
     for lineno, (university, sds, raw_year, raw_head) in _read_csv(path, STAFF_HEADER):
         year = _parse_int(path, lineno, "year", raw_year)
         headcount = _parse_int(path, lineno, "headcount", raw_head)
@@ -547,12 +538,11 @@ def load_staff(path, period: tuple[int, int]) -> StaffRoster:
                                   "headcount")
         if headcount > sys.float_info.max:  # its period average could not be a float
             raise CorpusLoadError(path, lineno, "headcount too large for a float", "headcount")
-        key = (university, sds, year)
-        if key in entries:
-            raise CorpusLoadError(
-                path, lineno, f"duplicate staff row for {university}/{sds}/{year}"
-            )
-        entries[key] = headcount
+        heads = entries.setdefault((university, sds), {})
+        if year in heads:
+            raise CorpusLoadError(path, lineno,
+                                  f"duplicate staff row for {university}/{sds}/{year}")
+        heads[year] = headcount
     return StaffRoster(entries=entries)
 
 
@@ -750,7 +740,8 @@ def write_corpus(corpus: Corpus, out_dir) -> dict[str, Path]:
         STAFF_HEADER,
         [
             [univ, sds, year, head]
-            for (univ, sds, year), head in sorted(corpus.staff.entries.items())
+            for (univ, sds), heads in sorted(corpus.staff.entries.items())
+            for year, head in sorted(heads.items())
         ],
     )
     _write_csv(

@@ -58,6 +58,7 @@ PLANTABLE_Y = ("P", "FP", "QP", "FQP")
 
 FOREIGN_COUNTRIES = ("US", "FR", "DE", "GB", "CH", "JP")
 JOURNALS_PER_SDS = 6
+MAX_STAFF_ROWS = 10**8  # checked before any per-row loop; 350 paper-scale universities: 189,000
 
 # Driver-to-observable mappings for planted associations
 X_CENTER = 0.5
@@ -175,9 +176,13 @@ def _layout(params: SynthParams) -> tuple[list[str], list[str], dict[str, str]]:
 
 
 def _check_params(params: SynthParams) -> None:
-    for name in ("n_universities", "n_areas", "sds_per_area", "years"):
+    counts = ("n_universities", "n_areas", "sds_per_area", "years")
+    for name in counts:
         if getattr(params, name) < 1:
             raise SynthParamsError(f"{name} must be at least 1, got {getattr(params, name)}")
+    if (rows := math.prod(getattr(params, name) for name in counts)) > MAX_STAFF_ROWS:
+        raise SynthParamsError(
+            f"{' * '.join(counts)} gives {rows} staff rows, above {MAX_STAFF_ROWS}")
     for name in ("staff_range", "if_lognormal"):
         if len(getattr(params, name)) != 2:
             raise SynthParamsError(f"{name} must be a pair, got {getattr(params, name)!r}")
@@ -404,7 +409,7 @@ def generate_corpus(params: SynthParams) -> SynthResult:
     no_peers = params.n_universities < 2
     headcounts = range(params.staff_range[0], params.staff_range[1] + 1)
     sectors_of = {area: [sds for sds in sectors if sector_entries[sds] == area] for area in areas}
-    staff_entries: dict[tuple[str, str, int], int] = {}
+    staff_entries: dict[tuple[str, str], dict[int, int]] = {}
     publications: list[Publication] = []
     for u, univ in enumerate(universities):
         pools = {"other_university": universities[:u] + universities[u + 1:], **external_pools}
@@ -425,8 +430,7 @@ def generate_corpus(params: SynthParams) -> SynthResult:
                 head = params.staff_overrides.get(univ)
                 if head is None:
                     head = _pick(rng, headcounts)
-                for year in years:
-                    staff_entries[(univ, sds, year)] = head
+                staff_entries[(univ, sds)] = dict.fromkeys(years, head)
                 if not head * pps < sys.maxsize:  # a cell's count must fit in an index
                     raise SynthParamsError(
                         f"pubs_per_staff_mean and productivity_spread give {univ}/{sds} "

@@ -54,8 +54,7 @@ def make_random_corpus(rng: random.Random, max_pubs: int = 50) -> Corpus:
     for u in universities:
         for s in sds_codes:
             if rng.random() < 0.85:
-                for y in years:
-                    staff_entries[(u, s, y)] = rng.randint(0, 12)
+                staff_entries[(u, s)] = {y: rng.randint(0, 12) for y in years}
 
     candidates = [(u, s) for u in universities for s in sds_codes]
     publications = []
@@ -104,7 +103,7 @@ def naive_indicator_oracle(corpus: Corpus) -> dict[tuple[str, str], dict]:
     for pub in corpus.publications:
         for a in pub.attributions:
             cells.add((a.university, a.sds))
-    for (u, s, _y) in corpus.staff.entries:
+    for (u, s) in corpus.staff.entries:
         cells.add((u, s))
 
     def has_class(pub, wanted):
@@ -123,7 +122,8 @@ def naive_indicator_oracle(corpus: Corpus) -> dict[tuple[str, str], dict]:
         fo = sum(1.0 / len(p.org_ids) for p in pubs)
         ss = sum(raw_if(p) / sector_mean[s] for p in pubs)
         fss = sum(raw_if(p) / sector_mean[s] / len(p.org_ids) for p in pubs)
-        staff = sum(corpus.staff.entries.get((u, s, y), 0) for y in years) / len(years)
+        heads = corpus.staff.entries.get((u, s), {})
+        staff = sum(heads.get(y, 0) for y in years) / len(years)
 
         n_ext = sum(1 for p in pubs if len(p.org_ids) > 1)
         n_uni = sum(

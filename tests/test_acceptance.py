@@ -293,13 +293,13 @@ def test_criterion_9_exclusion_rule():
         # a 10-year period makes the 4.9 average reachable with integer counts
         period = (2001, 2010)
         years = range(period[0], period[1] + 1)
-        staff_entries = {}
-        for year in years:
-            staff_entries[("UA", "S1", year)] = 3
-            staff_entries[("UB", "S1", year)] = 5
-            staff_entries[("UC", "S1", year)] = 5
-            staff_entries[("UD", "S1", year)] = 40
-        staff_entries[("UB", "S1", 2010)] = 4  # sum 49 -> average 4.9
+        staff_entries = {
+            ("UA", "S1"): dict.fromkeys(years, 3),
+            ("UB", "S1"): dict.fromkeys(years, 5),
+            ("UC", "S1"): dict.fromkeys(years, 5),
+            ("UD", "S1"): dict.fromkeys(years, 40),
+        }
+        staff_entries[("UB", "S1")][2010] = 4  # sum 49 -> average 4.9
 
         corpus = Corpus(
             publications=(),

@@ -13,7 +13,9 @@ import pytest
 from click.testing import CliRunner
 
 from collabmetrics.cli import cli
-from collabmetrics.synth import SynthParams, generate_corpus, write_synthetic
+from collabmetrics.synth import (
+    MAX_STAFF_ROWS, SynthParams, SynthParamsError, _check_params, generate_corpus, write_synthetic,
+)
 from golden.update import INPUT as GOLDEN_INPUT
 
 PIPELINE_OUTPUTS = (
@@ -216,7 +218,8 @@ class TestValidateCommand:
             "organizations.csv": ["org_id,name,class,country", "UA,A,UNIV_DOMESTIC,IT",
                                   "UB,B,UNIV_DOMESTIC,IT", "D1,D,DPR_DOMESTIC,IT"],
             "journals.csv": ["journal_id,year,impact_factor", "J1,2001,2.5", "J2,2001,1.0"],
-            "staff.csv": ["university,sds,year,headcount", "UA,S1,2001,4", "UA,S8,2001,1"],
+            "staff.csv": ["university,sds,year,headcount", "UA,S1,2001,4", "UA,S8,2001,1",
+                          "UA,S8,2002,1"],
             "sectors.csv": ["sds,area", "S1,A1"],
         }
         for name, lines in files.items():
@@ -229,7 +232,7 @@ class TestValidateCommand:
             "[error] organizations[UZ]: dangling org_id referenced by 1 publication(s)",
             "[error] organizations[UZ]: dangling university id in 1 attribution(s)",
             "[error] organizations[D1]: university in 1 attribution(s) has class DPR_DOMESTIC",
-            "[error] sectors[S8]: dangling sds referenced by 1 record(s)",
+            "[error] sectors[S8]: dangling sds referenced by 2 record(s)",
             "[error] sectors[S9]: dangling sds referenced by 1 record(s)",
             "[error] journals[J2]: missing impact factor for year 2003 (1 publication(s))",
             "[warning] staff[D1,S1]: attribution without roster entry (1 publication(s))",
@@ -387,6 +390,7 @@ class TestLoaderRejections:
 # the keys an impact factor beyond the largest float names
 IMPACT_FACTOR_KEYS = "error: if_lognormal and sector_if_spread give journal"
 CELL_SIZE_KEYS = "error: pubs_per_staff_mean and productivity_spread give U001/"
+STAFF_ROWS_KEYS = "error: n_universities * n_areas * sds_per_area * years gives"
 
 
 class TestSynthCommand:
@@ -419,6 +423,14 @@ class TestSynthCommand:
         assert result.exit_code == 0, result.output
         truth = json.loads((out / "ground_truth.json").read_text())
         assert truth["planted_correlations"][0]["r"] == 0.5
+
+    # before the huge-size cases below: without the cap they would not end
+    def test_staff_row_cap_is_inclusive(self):
+        one = dict(n_universities=1, n_areas=1, sds_per_area=1)
+        _check_params(SynthParams(**one, years=MAX_STAFF_ROWS))
+        message = f"gives {MAX_STAFF_ROWS + 1} staff rows, above {MAX_STAFF_ROWS}$"
+        with pytest.raises(SynthParamsError, match=message):
+            _check_params(SynthParams(**one, years=MAX_STAFF_ROWS + 1))
 
     @pytest.mark.parametrize("content,name", [
         pytest.param(json.dumps({"staff_range": [9, 2]}).encode(), "staff_range",
@@ -454,6 +466,10 @@ class TestSynthCommand:
                      id="pubs_per_staff_mean-1e308"),
         pytest.param(b'{"productivity_spread": 200}', CELL_SIZE_KEYS,
                      id="productivity_spread-cell-size"),
+        # more staff rows than any loop should be asked to build
+        *(pytest.param(json.dumps({name: 10**30}).encode(), STAFF_ROWS_KEYS,
+                       id=f"{name}-huge-layout")
+          for name in ("n_universities", "n_areas", "sds_per_area", "years")),
         # finite, but an exp draw beyond the largest float, or an infinite exponent
         pytest.param(b'{"sector_if_spread": 1000}', IMPACT_FACTOR_KEYS,
                      id="sector_if_spread-exp-overflow"),

@@ -183,7 +183,7 @@ class TestLoad:
         paths["staff"].write_text(
             f"university,sds,year,headcount\nUA,S1,2001,{head}\n", encoding="utf-8"
         )
-        assert load_from(paths).staff.entries == {("UA", "S1", 2001): head}
+        assert load_from(paths).staff.entries == {("UA", "S1"): {2001: head}}
 
     @pytest.mark.parametrize("raw", ["nan", "inf"])
     def test_non_finite_impact_factor_rejected(self, tmp_path, raw):

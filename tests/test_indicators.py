@@ -120,8 +120,8 @@ def hand_worked_corpus():
         "JB": {2001: 3.0},
         "JC": {2001: 0.75},
     }
-    staff = {("UA", "S1", y): 4 for y in (2001, 2002, 2003)}
-    staff.update({("UB", "S1", y): 2 for y in (2001, 2002, 2003)})
+    staff = {("UA", "S1"): dict.fromkeys((2001, 2002, 2003), 4),
+             ("UB", "S1"): dict.fromkeys((2001, 2002, 2003), 2)}
     return build_corpus(
         [
             pub("p1", "JA", {"UA"}),
@@ -156,7 +156,7 @@ class TestComputeIndicators:
         corpus = build_corpus(
             [pub(f"p{i}", "J1", {"UA"}) for i in range(4)],
             journals,
-            staff={("UA", "S1", 2001): 3},
+            staff={("UA", "S1"): {2001: 3}},
         )
         rec = compute_indicators(corpus)[0]
         assert rec.FO == rec.O
@@ -166,7 +166,7 @@ class TestComputeIndicators:
 
     def test_empty_cell_with_staff(self):
         journals = {"J1": {2001: 1.0}}
-        staff = {("UB", "S1", y): 5 for y in (2001, 2002, 2003)}
+        staff = {("UB", "S1"): dict.fromkeys((2001, 2002, 2003), 5)}
         corpus = build_corpus([pub("p1", "J1", {"UA"})], journals, staff=staff)
         records = {(r.university, r.sds): r for r in compute_indicators(corpus)}
         rec = records[("UB", "S1")]
@@ -188,7 +188,7 @@ class TestComputeIndicators:
 
     def test_staff_mean_counts_missing_years_as_zero(self):
         journals = {"J1": {2001: 1.0}}
-        staff = {("UA", "S1", 2001): 6}  # one of three years
+        staff = {("UA", "S1"): {2001: 6}}  # one of three years
         corpus = build_corpus([pub("p1", "J1", {"UA"})], journals, staff=staff)
         rec = compute_indicators(corpus)[0]
         assert rec.staff == pytest.approx(2.0)

@@ -127,7 +127,7 @@ def intramural_corpus():
         publications=pubs,
         organizations=orgs,
         journals=journals,
-        staff=StaffRoster(entries={("UA", "S1", 2001): 3}),
+        staff=StaffRoster(entries={("UA", "S1"): {2001: 3}}),
         sectors=SectorMap(entries={"S1": "A1"}),
         period=(2001, 2003),
     )
@@ -216,7 +216,7 @@ def profile_corpus():
         publications=tuple(pubs),
         organizations=ORGS,
         journals=journals,
-        staff=StaffRoster(entries={("UA", "S1", 2001): 6}),
+        staff=StaffRoster(entries={("UA", "S1"): {2001: 6}}),
         sectors=SectorMap(entries={"S1": "A1"}),
         period=(2001, 2003),
     )

@@ -165,9 +165,9 @@ class TestValidity:
             staff_overrides={"U002": 9},
         )
         corpus = generate_corpus(params).corpus
-        for (univ, _sds, _year), head in corpus.staff.entries.items():
+        for (univ, _sds), heads in corpus.staff.entries.items():
             if univ == "U002":
-                assert head == 9
+                assert set(heads.values()) == {9}
 
 
 class TestPlanting:
