@@ -169,17 +169,18 @@ class Corpus:
         normalized value over the sector's publications is one."""
         table = {}
         for sds, pubs in self.publications_by_sds.items():
-            raws = [self.journals[p.journal_id][p.year] for p in pubs]
+            keys = [(p.journal_id, p.year) for p in pubs]
+            raws = {key: self.journals[key[0]][key[1]] for key in dict.fromkeys(keys)}
             try:
                 # exact summation keeps the result independent of publication order
-                mean = math.fsum(raws) / len(raws)
+                mean = math.fsum(map(raws.__getitem__, keys)) / len(keys)
             # too large to add up, or (in a corpus built in code) infinities of both signs
             except (OverflowError, ValueError) as exc:
                 raise CorpusError(f"sector '{sds}', impact factor mean: {exc}") from None
             if mean == 0.0:
                 raise CorpusError(f"sector '{sds}': all impact factors are zero, "
                                   "normalization undefined")
-            table[sds] = {(p.journal_id, p.year): raw / mean for p, raw in zip(pubs, raws)}
+            table[sds] = {key: raw / mean for key, raw in raws.items()}
         return table
 
 
@@ -560,11 +561,14 @@ def load_sectors(path) -> SectorMap:
 
 
 def load_publications(path, period: tuple[int, int]) -> tuple[Publication, ...]:
-    """The publications of ``path``; equal organization sets and equal
-    attributions are each one shared object."""
+    """The publications of ``path``; equal years, journal ids, organization
+    sets and attributions are each one shared object, and so are equal
+    one-attribution tuples (taken from the attribution's own lookup)."""
     pubs: list[Publication] = []
     seen_ids: set[str] = set()
-    shared: dict[tuple[str, str], Attribution] = {}
+    years: dict[int, int] = {}
+    journals: dict[str, str] = {}
+    shared: dict[tuple[str, str], tuple[Attribution]] = {}  # a pair -> its one-tuple
     org_sets: dict[frozenset[str], frozenset[str]] = {}
     org_lists: dict[tuple, frozenset[str]] = {}  # a checked org list -> its shared set
     with open(path, "r", encoding="utf-8") as fh:
@@ -601,6 +605,7 @@ def load_publications(path, period: tuple[int, int]) -> tuple[Publication, ...]:
                 raise CorpusLoadError(path, lineno, "must be an integer", "year")
             if type(journal) is not str or not journal:
                 raise CorpusLoadError(path, lineno, "must be a non-empty string", "journal")
+            year, journal = years.setdefault(year, year), journals.setdefault(journal, journal)
 
             if type(orgs) is not list:
                 raise CorpusLoadError(path, lineno, "must be a list of strings", "orgs")
@@ -631,12 +636,13 @@ def load_publications(path, period: tuple[int, int]) -> tuple[Publication, ...]:
                         "each attribution needs string fields 'university' and 'sds'",
                         "attributions",
                     )
-                att = shared.get((university, sds))
-                if att is None:
-                    att = shared[university, sds] = Attribution(university, sds)
-                attributions.append(att)
+                one = shared.get((university, sds))
+                if one is None:
+                    one = shared[university, sds] = (Attribution(university, sds),)
+                attributions += one
 
-            pub = Publication(pub_id, year, journal, org_ids, tuple(attributions))
+            atts = one if len(attributions) == 1 else tuple(attributions)
+            pub = Publication(pub_id, year, journal, org_ids, atts)
             _check_publication(path, lineno, pub, period, seen_ids)
             pubs.append(pub)
     return tuple(pubs)

@@ -353,7 +353,7 @@ def generate_corpus(params: SynthParams) -> SynthResult:
     seed = params.seed
     config = CorpusConfig()  # the default home country, and the first year of its period
     period = (config.period[0], config.period[0] + params.years - 1)
-    years = range(period[0], period[1] + 1)
+    years = tuple(range(period[0], period[1] + 1))  # _pick returns one shared int per year
     universities, areas, sector_entries = _layout(params)
     sectors = sorted(sector_entries)
 
@@ -410,9 +410,10 @@ def generate_corpus(params: SynthParams) -> SynthResult:
     headcounts = range(params.staff_range[0], params.staff_range[1] + 1)
     sectors_of = {area: [sds for sds in sectors if sector_entries[sds] == area] for area in areas}
     staff_entries: dict[tuple[str, str], dict[int, int]] = {}
+    year_maps: dict[int, dict[int, int]] = {}  # headcount -> its one read-only year map
+    org_sets: dict[frozenset[str], frozenset[str]] = {}  # one object per distinct set
     publications: list[Publication] = []
     for u, univ in enumerate(universities):
-        pools = {"other_university": universities[:u] + universities[u + 1:], **external_pools}
         for area in areas:
             rng = _rng(seed, "area", univ, area)
             assoc, shares, planted_prod = planted.get(area, (None, {}, {}))
@@ -430,7 +431,7 @@ def generate_corpus(params: SynthParams) -> SynthResult:
                 head = params.staff_overrides.get(univ)
                 if head is None:
                     head = _pick(rng, headcounts)
-                staff_entries[(univ, sds)] = dict.fromkeys(years, head)
+                staff_entries[(univ, sds)] = year_maps.setdefault(head, dict.fromkeys(years, head))
                 if not head * pps < sys.maxsize:  # a cell's count must fit in an index
                     raise SynthParamsError(
                         f"pubs_per_staff_mean and productivity_spread give {univ}/{sds} "
@@ -467,10 +468,16 @@ def generate_corpus(params: SynthParams) -> SynthResult:
                 cell_journals = [_pick(rng, journals_by_sds[sds]) for _ in range(n)]
                 credit = (Attribution(university=univ, sds=sds),)
                 for i, (year, journal_id) in enumerate(zip(cell_years, cell_journals)):
-                    partners = [_pick(rng, pool) for name, pool in pools.items() if flags[name][i]]
+                    members = [univ]
+                    if flags["other_university"][i]:  # _pick from the others, without a copy
+                        j = int(rng.random() * (len(universities) - 1))
+                        members.append(universities[j + (j >= u)])
+                    members += [_pick(rng, pool) for name, pool in external_pools.items()
+                                if flags[name][i]]
+                    org_ids = frozenset(members)
                     publications.append(Publication(
                         pub_id=f"{univ}-{sds}-{i + 1:04d}", year=year, journal_id=journal_id,
-                        org_ids=frozenset([univ, *partners]), attributions=credit))
+                        org_ids=org_sets.setdefault(org_ids, org_ids), attributions=credit))
 
     corpus = Corpus(
         publications=tuple(publications),

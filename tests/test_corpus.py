@@ -218,13 +218,18 @@ class TestLoad:
 
         paths = write_minimal_files(tmp_path, pub_lines=[
             line("p1", ("UA", "S1")), line("p2", ("UB", "S1"), ("UA", "S1")),
-            line("p3", ("UB", "S1")),
+            line("p3", ("UB", "S1")), line("p4", ("UA", "S1")),
         ])
         corpus = load_from(paths, check=False)
-        p1, p2, p3 = corpus.publications
+        p1, p2, p3, p4 = corpus.publications
         assert p1.attributions[0] is p2.attributions[1]
         assert p2.attributions[0] is p3.attributions[0]
         assert p1.attributions[0] is not p3.attributions[0]
+        # equal years, journal ids and one-attribution tuples: one object each
+        assert p1.year is p2.year is p3.year is p4.year
+        assert p1.journal_id is p2.journal_id is p3.journal_id is p4.journal_id
+        assert p1.attributions is p4.attributions
+        assert p1.attributions is not p3.attributions
 
         for record in (p1, p1.attributions[0], corpus.profiles[0]):
             assert not hasattr(record, "__dict__"), type(record).__name__

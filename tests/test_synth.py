@@ -88,6 +88,19 @@ class TestDeterminism:
             assert credit_of_cell.setdefault((credit.university, credit.sds), credit) is credit
         assert len(credit_of_cell) > 1
 
+    def test_one_object_per_distinct_value(self, tmp_path):
+        corpus = generate_corpus(SynthParams(seed=7, n_universities=6)).corpus
+        pubs = corpus.publications
+        org_sets = {p.org_ids for p in pubs}
+        assert len({id(p.org_ids) for p in pubs}) == len(org_sets) < len(pubs)
+        assert len({id(p.year) for p in pubs}) == len({p.year for p in pubs}) == 3
+        year_maps = corpus.staff.entries.values()
+        headcounts = {tuple(year_map.values()) for year_map in year_maps}
+        assert len({id(year_map) for year_map in year_maps}) == len(headcounts) < len(year_maps)
+
+        paths = write_corpus(corpus, tmp_path)
+        assert load_corpus(*paths.values(), CorpusConfig(period=corpus.period)) == corpus
+
 
 class TestValidity:
     @pytest.mark.parametrize(
