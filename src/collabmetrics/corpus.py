@@ -529,9 +529,15 @@ def load_journals(path) -> dict[str, dict[int, float]]:
 
 
 def load_staff(path, period: tuple[int, int]) -> StaffRoster:
+    """The roster of ``path``; equal university and sds strings, years (parsed
+    once per distinct text) and ``{year: headcount}`` maps are each one object."""
     entries: dict[tuple[str, str], dict[int, int]] = {}
+    years: dict[str, int] = {}  # a raw year text -> its int
+    names: dict[str, str] = {}
     for lineno, (university, sds, raw_year, raw_head) in _read_csv(path, STAFF_HEADER):
-        year = _parse_int(path, lineno, "year", raw_year)
+        year = years.get(raw_year)
+        if year is None:  # a failed parse is not cached: a later bad row fails at its line
+            year = years[raw_year] = _parse_int(path, lineno, "year", raw_year)
         headcount = _parse_int(path, lineno, "headcount", raw_head)
         _check_year(path, lineno, year, period)
         if headcount < 0:
@@ -539,12 +545,17 @@ def load_staff(path, period: tuple[int, int]) -> StaffRoster:
                                   "headcount")
         if headcount > sys.float_info.max:  # its period average could not be a float
             raise CorpusLoadError(path, lineno, "headcount too large for a float", "headcount")
-        heads = entries.setdefault((university, sds), {})
+        heads = entries.get((university, sds))
+        if heads is None:
+            university, sds = names.setdefault(university, university), names.setdefault(sds, sds)
+            heads = entries[university, sds] = {}
         if year in heads:
             raise CorpusLoadError(path, lineno,
                                   f"duplicate staff row for {university}/{sds}/{year}")
         heads[year] = headcount
-    return StaffRoster(entries=entries)
+    maps: dict[frozenset[tuple[int, int]], dict[int, int]] = {}  # contents -> shared map
+    return StaffRoster(entries={pair: maps.setdefault(frozenset(heads.items()), heads)
+                                for pair, heads in entries.items()})
 
 
 def load_sectors(path) -> SectorMap:
@@ -561,13 +572,13 @@ def load_sectors(path) -> SectorMap:
 
 
 def load_publications(path, period: tuple[int, int]) -> tuple[Publication, ...]:
-    """The publications of ``path``; equal years, journal ids, organization
-    sets and attributions are each one shared object, and so are equal
-    one-attribution tuples (taken from the attribution's own lookup)."""
+    """The publications of ``path``; equal years, ids (journal, organization
+    and sds), organization sets and attributions are each one shared object,
+    and so are equal one-attribution tuples (taken from the attribution's own lookup)."""
     pubs: list[Publication] = []
     seen_ids: set[str] = set()
     years: dict[int, int] = {}
-    journals: dict[str, str] = {}
+    names: dict[str, str] = {}  # journal, organization and sds ids
     shared: dict[tuple[str, str], tuple[Attribution]] = {}  # a pair -> its one-tuple
     org_sets: dict[frozenset[str], frozenset[str]] = {}
     org_lists: dict[tuple, frozenset[str]] = {}  # a checked org list -> its shared set
@@ -605,7 +616,7 @@ def load_publications(path, period: tuple[int, int]) -> tuple[Publication, ...]:
                 raise CorpusLoadError(path, lineno, "must be an integer", "year")
             if type(journal) is not str or not journal:
                 raise CorpusLoadError(path, lineno, "must be a non-empty string", "journal")
-            year, journal = years.setdefault(year, year), journals.setdefault(journal, journal)
+            year, journal = years.setdefault(year, year), names.setdefault(journal, journal)
 
             if type(orgs) is not list:
                 raise CorpusLoadError(path, lineno, "must be a list of strings", "orgs")
@@ -616,6 +627,7 @@ def load_publications(path, period: tuple[int, int]) -> tuple[Publication, ...]:
             if org_ids is None:
                 if not all(type(o) is str for o in orgs):
                     raise CorpusLoadError(path, lineno, "must be a list of strings", "orgs")
+                orgs = [names.setdefault(oid, oid) for oid in orgs]
                 org_ids = frozenset(orgs)
                 if len(org_ids) != len(orgs):
                     raise CorpusLoadError(path, lineno, "duplicate organization ids", "orgs")
@@ -638,6 +650,8 @@ def load_publications(path, period: tuple[int, int]) -> tuple[Publication, ...]:
                     )
                 one = shared.get((university, sds))
                 if one is None:
+                    university = names.setdefault(university, university)
+                    sds = names.setdefault(sds, sds)
                     one = shared[university, sds] = (Attribution(university, sds),)
                 attributions += one
 
@@ -735,20 +749,20 @@ def write_corpus(corpus: Corpus, out_dir) -> dict[str, Path]:
     _write_csv(
         paths["journals"],
         JOURNAL_HEADER,
-        [
+        (
             [jid, year, repr(impact)]
             for jid in sorted(corpus.journals)
             for year, impact in sorted(corpus.journals[jid].items())
-        ],
+        ),
     )
     _write_csv(
         paths["staff"],
         STAFF_HEADER,
-        [
+        (
             [univ, sds, year, head]
             for (univ, sds), heads in sorted(corpus.staff.entries.items())
             for year, head in sorted(heads.items())
-        ],
+        ),
     )
     _write_csv(
         paths["sectors"],

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .corpus import CollabProfile, Corpus, CorpusLoadError, Publication
+from .corpus import Corpus, CorpusLoadError, Publication
 from .corpus import SectorMap, _cell, _read_stage_table, _write_csv
 
 
@@ -59,10 +59,11 @@ def compute_indicators(corpus: Corpus) -> list[IndicatorRecord]:
     results do not depend on any scheduling.
     """
     nif_by_sds = corpus.normalized_ifs
-    cells: dict[tuple[str, str], list[tuple[Publication, CollabProfile]]] = {}
-    for pub, profile in zip(corpus.publications, corpus.profiles):
+    profile_of = dict(zip((pub.org_ids for pub in corpus.publications), corpus.profiles))
+    cells: dict[tuple[str, str], list[Publication]] = {}
+    for pub in corpus.publications:
         for att in pub.attributions:
-            cells.setdefault((att.university, att.sds), []).append((pub, profile))
+            cells.setdefault((att.university, att.sds), []).append(pub)
     for univ, sds in corpus.staff.pairs():
         cells.setdefault((univ, sds), [])
 
@@ -72,10 +73,10 @@ def compute_indicators(corpus: Corpus) -> list[IndicatorRecord]:
         nif = nif_by_sds.get(sds, {})
 
         output = len(pubs)
-        fo_terms = [fractional_contribution(pub) for pub, _profile in pubs]
-        ss_terms = [nif[(pub.journal_id, pub.year)] for pub, _profile in pubs]
+        fo_terms = [fractional_contribution(pub) for pub in pubs]
+        ss_terms = [nif[(pub.journal_id, pub.year)] for pub in pubs]
         fss_terms = [value * frac for value, frac in zip(ss_terms, fo_terms)]
-        profiles = [profile for _pub, profile in pubs]
+        profiles = [profile_of[pub.org_ids] for pub in pubs]
         n_extramural = sum([p.is_extramural for p in profiles])
         n_other_univ = sum([p.has_other_university for p in profiles])
         n_dpr = sum([p.has_dpr for p in profiles])

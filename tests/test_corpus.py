@@ -20,6 +20,7 @@ from collabmetrics.corpus import (
     StaffRoster,
     classify_collaboration,
     load_corpus,
+    load_staff,
     validate_corpus,
     write_corpus,
 )
@@ -230,11 +231,31 @@ class TestLoad:
         assert p1.journal_id is p2.journal_id is p3.journal_id is p4.journal_id
         assert p1.attributions is p4.attributions
         assert p1.attributions is not p3.attributions
+        # one string per id across organization sets and attributions
+        ids = {oid: oid for oid in p1.org_ids}
+        for att in (*p1.attributions, *p2.attributions):
+            assert att.university is ids[att.university]
+        assert p1.attributions[0].sds is p2.attributions[0].sds
 
         for record in (p1, p1.attributions[0], corpus.profiles[0]):
             assert not hasattr(record, "__dict__"), type(record).__name__
         moved = dataclasses.replace(p1, attributions=p3.attributions)
         assert moved.pub_id == "p1" and moved.attributions == (Attribution("UB", "S1"),)
+
+    def test_staff_roster_shares_equal_values(self, tmp_path):
+        path = tmp_path / "staff.csv"
+        path.write_text("university,sds,year,headcount\n"
+                        "UA,S1,2001,4\nUA,S1,2002,5\nUB,S1,2001,4\nUB,S1,2002,5\n"
+                        "UA,S2,2001,4\nUA,S2,2002,6\n", encoding="utf-8")
+        roster = load_staff(path, (2001, 2002))
+        (ua, s1), (ub, s1_again), (ua_again, s2) = roster.entries
+        assert ua is ua_again and s1 is s1_again
+        a, b, c = roster.entries.values()
+        assert a is b and a == {2001: 4, 2002: 5}
+        assert c is not a and c == {2001: 4, 2002: 6}
+        assert next(iter(a)) is next(iter(c))  # 2001, parsed once
+        assert [roster.period_average(u, s, (2001, 2002))
+                for u, s in roster.entries] == [4.5, 4.5, 5.0]
 
     def test_equal_org_sets_share_one_set_and_profile(self, tmp_path):
         paths = write_minimal_files(tmp_path, pub_lines=[
@@ -402,6 +423,14 @@ INVARIANT_FAULTS = {
     "staff-year": (
         "staff", "university,sds,year,headcount\nUA,S1,1999,4\n", 2,
         "field 'year': year 1999 outside period 2001-2003",
+    ),
+    "staff-row": (
+        "staff", "university,sds,year,headcount\nUA,S1,2001,4\nUA,S1,02001,5\n", 3,
+        "duplicate staff row for UA/S1/2001",
+    ),
+    "staff-year-text": (
+        "staff", "university,sds,year,headcount\nUA,S1,2001,4\nUA,S1,2002,4\nUA,S1,20O3,4\n",
+        4, "field 'year': not an integer: '20O3'",
     ),
     "publication-id": (
         "pubs", [PUB_LINE, PUB_LINE], 2, "field 'id': duplicate publication id 'p1'",
