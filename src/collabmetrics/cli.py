@@ -18,11 +18,14 @@ earlier run's manifest removed first, and only once each output name there
 is absent or a regular file; then every ``.staging-*`` directory there goes
 (its own, empty by then, and any a killed run left).  So a failed run
 leaves the output directory as it was (or absent, if the run created it).
+A run holds an exclusive ``flock`` on the output directory while it writes
+there, and a second run into it meanwhile fails at once (POSIX only).
 """
 
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import gc
 import hashlib
 import json
@@ -70,40 +73,56 @@ def _digest(path: Path) -> str:
 @contextlib.contextmanager
 def _writing(out_dir: Path, command: str, config: dict, inputs: list[Path]):
     """Yield a scratch directory inside ``out_dir`` (created if needed) for
-    the block to write into.  Once the block completes, this run's manifest
-    joins its outputs; if each of their names is absent from ``out_dir`` or
-    a regular file there, an earlier run's manifest goes, each file moves
-    into ``out_dir``, the manifest last, and every ``.staging-*`` directory
-    goes (this run's, empty by then, and a killed run's).  On failure the
-    scratch directory goes, and so do ``out_dir`` and its parents if this
-    run created them; files that the run does not write always survive."""
-    created = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
+    the block to write into.  The run holds an exclusive ``flock`` on
+    ``out_dir`` from before it makes the scratch directory to the end, and
+    fails at once, removing nothing, if another run holds it.  Once the
+    block completes, this run's manifest joins its outputs; if each of their
+    names is absent from ``out_dir`` or a regular file there, an earlier
+    run's manifest goes, each file moves into ``out_dir``, the manifest
+    last, and every ``.staging-*`` directory goes (this run's, empty by
+    then, and a killed run's).  On failure the scratch directory goes, and
+    so do ``out_dir`` and its parents if this run's own ``mkdir`` created
+    them; files that the run does not write always survive."""
+    created = None  # the top of the directories down to out_dir that this run's mkdir made
+    for path in reversed([p for p in (out_dir, *out_dir.parents) if not p.exists()]):
+        try:
+            os.mkdir(path)
+        except FileExistsError:  # another run made it: not this run's to remove
+            created = None
+        else:
+            created = created or path
+    lock = os.open(out_dir, os.O_RDONLY | os.O_DIRECTORY)  # a killed run's flock goes with it
     try:
-        yield staging
-        manifest = {
-            "command": command,
-            "config": config,
-            "inputs": {str(p): _digest(p) for p in inputs},
-        }
-        with open(staging / MANIFEST_FILENAME, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        moves = sorted(staging.iterdir(), key=lambda p: (p.name == MANIFEST_FILENAME, p.name))
-        for path in moves:
-            with contextlib.suppress(FileNotFoundError):
-                if not stat.S_ISREG(os.lstat(out_dir / path.name).st_mode):
-                    raise OSError(f"{out_dir / path.name}: not a regular file")
-        (out_dir / MANIFEST_FILENAME).unlink(missing_ok=True)
-        for path in moves:
-            os.replace(path, out_dir / path.name)
-    except BaseException:
-        shutil.rmtree(created[-1] if created else staging, ignore_errors=True)
-        raise
-    for stale in out_dir.glob(".staging-*"):
-        shutil.rmtree(stale, ignore_errors=True)
-
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise OSError(f"{out_dir}: another run is writing here") from None
+        staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
+        try:
+            yield staging
+            manifest = {
+                "command": command,
+                "config": config,
+                "inputs": {str(p): _digest(p) for p in inputs},
+            }
+            with open(staging / MANIFEST_FILENAME, "w", encoding="utf-8") as fh:
+                json.dump(manifest, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            moves = sorted(staging.iterdir(), key=lambda p: (p.name == MANIFEST_FILENAME, p.name))
+            for path in moves:
+                with contextlib.suppress(FileNotFoundError):
+                    if not stat.S_ISREG(os.lstat(out_dir / path.name).st_mode):
+                        raise OSError(f"{out_dir / path.name}: not a regular file")
+            (out_dir / MANIFEST_FILENAME).unlink(missing_ok=True)
+            for path in moves:
+                os.replace(path, out_dir / path.name)
+        except BaseException:
+            shutil.rmtree(created or staging, ignore_errors=True)
+            raise
+        for stale in out_dir.glob(".staging-*"):
+            shutil.rmtree(stale, ignore_errors=True)
+    finally:
+        os.close(lock)
 
 INPUT_FILE = click.Path(exists=True, dir_okay=False, path_type=Path)
 

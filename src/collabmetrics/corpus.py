@@ -20,6 +20,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _json_str  # json.dumps' string encoder
 from pathlib import Path
 from typing import Iterable, KeysView, Mapping, get_type_hints
 
@@ -696,7 +697,12 @@ def load_corpus(
 
 
 # ---------------------------------------------------------------------------
-# Writing (canonical forms; loading then re-writing is byte-stable)
+# Writing (canonical forms; loading then re-writing is byte-stable).  The
+# publications writer emits json.dumps' default layout, ASCII escapes
+# included, itself: these two templates and json.dumps' string encoder.
+
+_PUBLICATION_LINE = '{"id": %s, "year": %d, "journal": %s, "orgs": [%s], "attributions": [%s]}\n'
+_ATTRIBUTION = '{"university": %s, "sds": %s}'
 
 CORPUS_FILENAMES = {
     "publications": "publications.jsonl",
@@ -715,28 +721,24 @@ def _write_csv(path, header: list[str], rows: Iterable[list]) -> None:
 
 
 def write_corpus(corpus: Corpus, out_dir) -> dict[str, Path]:
-    """Write the five corpus files in canonical order; returns their paths."""
+    """Write the five corpus files in canonical order; returns their paths.
+
+    A publications.jsonl line is byte for byte ``json.dumps`` of its record;
+    a run of publications that share one attributions tuple formats it once."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {key: out / name for key, name in CORPUS_FILENAMES.items()}
 
     with open(paths["publications"], "w", encoding="utf-8", newline="") as fh:
+        shared = None  # the last attributions tuple, formatted once per run of publications
         for pub in corpus.publications:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": pub.pub_id,
-                        "year": pub.year,
-                        "journal": pub.journal_id,
-                        "orgs": sorted(pub.org_ids),
-                        "attributions": [
-                            {"university": a.university, "sds": a.sds}
-                            for a in pub.attributions
-                        ],
-                    }
-                )
-                + "\n"
-            )
+            if pub.attributions is not shared:
+                shared = pub.attributions
+                credits = ", ".join(_ATTRIBUTION % (_json_str(a.university), _json_str(a.sds))
+                                    for a in shared)
+            fh.write(_PUBLICATION_LINE % (
+                _json_str(pub.pub_id), pub.year, _json_str(pub.journal_id),
+                ", ".join(map(_json_str, sorted(pub.org_ids))), credits))
 
     _write_csv(
         paths["organizations"],

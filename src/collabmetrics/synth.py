@@ -341,7 +341,8 @@ def _quota(rng: random.Random, n: int, q: float) -> list[bool]:
     members = [False] * n
     k = round(q * n)
     if k:
-        keys = [rng.random() for _ in range(n)]
+        draw = rng.random
+        keys = [draw() for _ in range(n)]
         for i in sorted(range(n), key=keys.__getitem__)[:k]:
             members[i] = True
     return members
@@ -426,12 +427,15 @@ def generate_corpus(params: SynthParams) -> SynthResult:
                     params.collab_variation * _normal(rng),
                     f"collab_variation gives {univ}/{area} a collaboration multiplier")
             pps = params.pubs_per_staff_mean * prod
+            draw = rng.random  # each pick below is _pick's, inlined: seq[int(draw() * len)]
 
             for sds in sectors_of[area]:
                 head = params.staff_overrides.get(univ)
                 if head is None:
                     head = _pick(rng, headcounts)
-                staff_entries[(univ, sds)] = year_maps.setdefault(head, dict.fromkeys(years, head))
+                if (heads := year_maps.get(head)) is None:
+                    heads = year_maps[head] = dict.fromkeys(years, head)
+                staff_entries[(univ, sds)] = heads
                 if not head * pps < sys.maxsize:  # a cell's count must fit in an index
                     raise SynthParamsError(
                         f"pubs_per_staff_mean and productivity_spread give {univ}/{sds} "
@@ -446,7 +450,7 @@ def generate_corpus(params: SynthParams) -> SynthResult:
                     extramural = _quota(rng, n, shares[univ])
                     for name in CLASS_ORDER:
                         w = min(getattr(base, name) / X_CENTER, 1.0)
-                        flags[name] = [e and rng.random() < w for e in extramural]
+                        flags[name] = [e and draw() < w for e in extramural]
                     # a quota-extramural publication that drew no class gets the first class
                     # of highest propensity (planting needs 3 universities: every class has peers)
                     fallback = flags[max(CLASS_ORDER, key=lambda c: getattr(base, c))]
@@ -464,20 +468,25 @@ def generate_corpus(params: SynthParams) -> SynthResult:
                             q = min(getattr(base, name) * collab_mult, 0.97)
                         flags[name] = _quota(rng, n, q)
 
-                cell_years = [_pick(rng, years) for _ in range(n)]
-                cell_journals = [_pick(rng, journals_by_sds[sds]) for _ in range(n)]
-                credit = (Attribution(university=univ, sds=sds),)
+                sds_journals = journals_by_sds[sds]
+                cell_years = [years[int(draw() * len(years))] for _ in range(n)]
+                cell_journals = [sds_journals[int(draw() * JOURNALS_PER_SDS)] for _ in range(n)]
+                credit = (Attribution(univ, sds),)
+                prefix = f"{univ}-{sds}-"
+                peer_flags = flags["other_university"]
+                external = [(flags[name], pool, len(pool))
+                            for name, pool in external_pools.items()]
                 for i, (year, journal_id) in enumerate(zip(cell_years, cell_journals)):
                     members = [univ]
-                    if flags["other_university"][i]:  # _pick from the others, without a copy
-                        j = int(rng.random() * (len(universities) - 1))
+                    if peer_flags[i]:  # a pick from the others, without a copy
+                        j = int(draw() * (len(universities) - 1))
                         members.append(universities[j + (j >= u)])
-                    members += [_pick(rng, pool) for name, pool in external_pools.items()
-                                if flags[name][i]]
+                    members += [pool[int(draw() * size)] for flag, pool, size in external
+                                if flag[i]]
                     org_ids = frozenset(members)
                     publications.append(Publication(
-                        pub_id=f"{univ}-{sds}-{i + 1:04d}", year=year, journal_id=journal_id,
-                        org_ids=org_sets.setdefault(org_ids, org_ids), attributions=credit))
+                        f"{prefix}{i + 1:04d}", year, journal_id,
+                        org_sets.setdefault(org_ids, org_ids), credit))
 
     corpus = Corpus(
         publications=tuple(publications),

@@ -86,7 +86,7 @@ EQUIVALENT = {
         "a zero spread needs all of three or more normal draws equal",
     ("synth", "generate_corpus", "flip <", "head * pps < sys.maxsize"):
         "no float equals sys.maxsize (2**63 - 1)",
-    ("synth", "generate_corpus", "flip <", "rng.random() < w"):
+    ("synth", "generate_corpus", "flip <", "draw() < w"):
         "differs only when random() returns exactly w",
     ("synth", "_normal", "flip ==", "u == 0.0"):
         "redraws until random() returns 0.0, which never happens: a timeout",

@@ -343,6 +343,13 @@ LOADER_REJECTIONS = {
 }
 
 
+def _hide_from_exists(monkeypatch, path):
+    """Make ``Path.exists`` report ``path`` absent: a run that checked before another made it."""
+    exists = Path.exists
+    monkeypatch.setattr(Path, "exists", lambda self, *args, **kw: (
+        self != path and exists(self, *args, **kw)))
+
+
 def _golden_copy(tmp_path, name="corpus"):
     corpus = tmp_path / name
     shutil.copytree(GOLDEN_INPUT, corpus)
@@ -956,16 +963,18 @@ class TestPipeline:
         assert "per-sector quartiles need at least 4" in result.output
         assert snapshot(out) == before
 
-    @pytest.mark.parametrize("out_state", ["absent", "used"])
-    def test_failed_run_leaves_out_as_it_was(self, runner, tmp_path, out_state):
+    @pytest.mark.parametrize("out_state", ["absent", "used", "raced"])
+    def test_failed_run_leaves_out_as_it_was(self, runner, tmp_path, monkeypatch, out_state):
         # every sector has 2 publications, fewer than per-sector quartiles need
         data = tmp_path / "data"
         write_synthetic(generate_corpus(TWO_PUBLICATION_SECTORS), data)
         out = tmp_path / "runs" / "out"
-        if out_state == "used":
+        if out_state != "absent":
             result = runner.invoke(cli, ["indicators"] + corpus_args(data) + ["--out", str(out)])
             assert result.exit_code == 0, result.output
             (out / "notes.txt").write_text("no command writes this file\n")
+        if out_state == "raced":  # the run finds out absent; another run makes it before its mkdir
+            _hide_from_exists(monkeypatch, out)
         before = snapshot(tmp_path)
 
         result = runner.invoke(
@@ -973,6 +982,39 @@ class TestPipeline:
         )
         assert_clean_failure(result)
         assert snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("out_state", ["created", "raced", "used"])
+    def test_second_run_into_out_is_refused(self, runner, tmp_path, monkeypatch, out_state):
+        from collabmetrics import cli as cli_module
+
+        out = tmp_path / "out"
+        argv = ["all", *corpus_args(_golden_copy(tmp_path)), "--out", str(out)]
+        if out_state == "used":
+            result = runner.invoke(cli, argv)
+            assert result.exit_code == 0, result.output
+            (out / "notes.txt").write_text("no command writes this file\n")
+        write_correlations, nested = cli_module._write_correlations, []
+
+        def rerun_inside_the_block(*args):
+            write_correlations(*args)
+            if nested:  # this is the second run: it was not refused
+                return
+            nested.append(snapshot(tmp_path))
+            with monkeypatch.context() as patch:
+                if out_state == "raced":  # it found out absent before the first run made it
+                    _hide_from_exists(patch, out)
+                nested.append(runner.invoke(cli, argv))
+            nested.append(snapshot(tmp_path))
+
+        monkeypatch.setattr(cli_module, "_write_correlations", rerun_inside_the_block)
+        result = runner.invoke(cli, argv)
+        before, refused, after = nested
+        assert_clean_failure(refused)
+        assert refused.stderr.splitlines() == [f"error: {out}: another run is writing here"]
+        assert after == before
+        assert result.exit_code == 0, result.output
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            PIPELINE_OUTPUTS + (("notes.txt",) if out_state == "used" else ()))
 
     @pytest.mark.parametrize("command,name", [("all", "top_sectors_fci.csv"),
                                               ("indicators", "indicators.csv")])

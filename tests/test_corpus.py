@@ -2,12 +2,15 @@ import dataclasses
 import json
 import random
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collabmetrics.corpus import (
+    CORPUS_FILENAMES,
     Attribution,
     Corpus,
     CorpusConfig,
@@ -26,6 +29,7 @@ from collabmetrics.corpus import (
 )
 from collabmetrics.synth import SynthParams, generate_corpus, write_synthetic
 
+from golden.update import INPUT as GOLDEN_INPUT
 from oracles import make_random_corpus
 
 CONFIG = CorpusConfig(home_country="IT", period=(2001, 2003))
@@ -286,7 +290,56 @@ class TestLoad:
         assert checked == ["p1", "p2", "p3"]
 
 
+# text with what json.dumps escapes: a quote, a backslash, control characters,
+# non-ASCII and astral characters (one surrogate pair each); or any text
+JSON_TEXT = st.text(st.sampled_from('aZ9-/"\\\x00\n\x1f\x7f\xe9\u20ac\U0001f600'),
+                    max_size=5) | st.text(max_size=4)
+
+
+@st.composite
+def publication_runs(draw):
+    """Publications in runs that share one attributions tuple; a run's tuple is
+    either new or equal to the last run's but a distinct object."""
+    pubs, credit = [], ()
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            credit = tuple(draw(st.lists(st.builds(Attribution, JSON_TEXT, JSON_TEXT),
+                                         max_size=3)))
+        else:
+            credit = tuple(list(credit))  # equal, and a distinct object unless empty
+        for _ in range(draw(st.integers(1, 3))):
+            pubs.append(Publication(draw(JSON_TEXT), draw(st.integers(-10**6, 10**6)),
+                                    draw(JSON_TEXT), frozenset(draw(st.lists(JSON_TEXT))),
+                                    credit))
+    return pubs
+
+
 class TestRoundTrip:
+    @given(publication_runs())
+    @settings(max_examples=100, deadline=None)
+    def test_publication_lines_are_json_dumps_of_the_record(self, pubs):
+        corpus = Corpus(tuple(pubs), {}, {}, StaffRoster({}), SectorMap({}), (2001, 2003))
+        with tempfile.TemporaryDirectory() as out:
+            text = write_corpus(corpus, out)["publications"].read_text(encoding="ascii")
+        assert text == "".join(
+            json.dumps({
+                "id": pub.pub_id,
+                "year": pub.year,
+                "journal": pub.journal_id,
+                "orgs": sorted(pub.org_ids),
+                "attributions": [{"university": a.university, "sds": a.sds}
+                                 for a in pub.attributions],
+            }) + "\n"
+            for pub in pubs
+        )
+
+    def test_golden_corpus_round_trips(self, tmp_path):
+        # the co-authored shape: one attributions tuple per publication, often several long
+        corpus = load_corpus(*(GOLDEN_INPUT / name for name in CORPUS_FILENAMES.values()))
+        assert sum(len(pub.attributions) > 1 for pub in corpus.publications) == 149
+        for key, path in write_corpus(corpus, tmp_path).items():
+            assert path.read_bytes() == (GOLDEN_INPUT / path.name).read_bytes(), key
+
     def test_generator_output_loads_and_round_trips(self, tmp_path):
         result = generate_corpus(SynthParams(seed=42, n_universities=6, n_areas=2))
         first = tmp_path / "first"
