@@ -18,8 +18,8 @@ earlier run's manifest removed first, and only once each output name there
 is absent or a regular file; then every ``.staging-*`` directory there goes
 (its own, empty by then, and any a killed run left).  So a failed run
 leaves the output directory as it was (or absent, if the run created it).
-A run holds an exclusive ``flock`` on the output directory while it writes
-there, and a second run into it meanwhile fails at once (POSIX only).
+A run locks the output directory (``flock``) before any other work, and a
+second run meanwhile fails at once; the lock and ``all``'s fork are POSIX-only.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from . import aggregate as agg
 from . import indicators as ind
 from . import reports
 from .corpus import CORPUS_FILENAMES, Corpus, CorpusConfig, CorpusError, load_corpus
-from .corpus import validate_corpus
+from .corpus import SectorMap, validate_corpus
 
 INDICATORS_FILENAME = "indicators.csv"
 AGGREGATES_FILENAME = "aggregates.csv"
@@ -123,6 +123,36 @@ def _writing(out_dir: Path, command: str, config: dict, inputs: list[Path]):
             shutil.rmtree(stale, ignore_errors=True)
     finally:
         os.close(lock)
+
+
+@contextlib.contextmanager
+def _indicators_in_child(records: list[ind.IndicatorRecord], sectors: SectorMap, path: Path):
+    """Write indicators.csv at ``path`` from a forked child while the block runs; reap the
+    child after the block (killed first if the block fails) and raise its error here."""
+    read_end, write_end = os.pipe()
+    if (pid := os.fork()) == 0:
+        status = 1
+        try:
+            ind.write_indicators_csv(records, sectors, path)
+            status = 0
+        except BaseException as exc:
+            import pickle  # deferred: only a failure pays for the import
+            os.write(write_end, pickle.dumps(exc))
+        finally:
+            os._exit(status)  # none of this process's cleanup runs in the child
+    os.close(write_end)
+    try:
+        yield
+    except BaseException:
+        os.kill(pid, 9)  # SIGKILL
+        raise
+    finally:
+        with open(read_end, "rb") as pipe:
+            error = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+    if status:
+        import pickle
+        raise pickle.loads(error) if error else OSError(f"{path}: wait status {status}")
 
 INPUT_FILE = click.Path(exists=True, dir_okay=False, path_type=Path)
 
@@ -247,9 +277,9 @@ def validate(**kw):
 @with_options(corpus_options, out_options)
 def indicators(out_dir: Path, **kw):
     """Compute per-(university, sector) indicators."""
-    corpus = _load(kw)
-    records = ind.compute_indicators(corpus)
     with _writing(out_dir, "indicators", _config_echo(kw), _corpus_inputs(kw)) as staging:
+        corpus = _load(kw)
+        records = ind.compute_indicators(corpus)
         ind.write_indicators_csv(records, corpus.sectors, staging / INDICATORS_FILENAME)
     click.echo(f"wrote {len(records)} records to {out_dir / INDICATORS_FILENAME}")
 
@@ -260,10 +290,10 @@ def indicators(out_dir: Path, **kw):
 @with_options(out_options, aggregate_options)
 def aggregate(indicators_path: Path, out_dir: Path, ci_mode: str, threshold: float):
     """Normalize to sector means and aggregate to areas."""
-    records, sectors = ind.read_indicators_csv(indicators_path)
-    result = _aggregate_records(records, sectors, ci_mode, threshold)
     config = {"ci_mode": ci_mode, "threshold": threshold}
     with _writing(out_dir, "aggregate", config, [indicators_path]) as staging:
+        records, sectors = ind.read_indicators_csv(indicators_path)
+        result = _aggregate_records(records, sectors, ci_mode, threshold)
         agg.write_aggregates_csv(result, staging / AGGREGATES_FILENAME)
     click.echo(f"wrote {len(result.kept) + len(result.excluded)} aggregates to "
                f"{out_dir / AGGREGATES_FILENAME}")
@@ -273,10 +303,10 @@ def aggregate(indicators_path: Path, out_dir: Path, ci_mode: str, threshold: flo
 @with_options(corpus_options, out_options, report_options)
 def report(out_dir: Path, quartile_scope: str, table2_mode: str, top_n: int, **kw):
     """Build the cross-tab, area profile, dispersion and top-sector tables."""
-    corpus = _load(kw)
-    records = ind.compute_indicators(corpus)
     config = _config_echo(kw, quartile_scope=quartile_scope, table2_mode=table2_mode, top=top_n)
     with _writing(out_dir, "report", config, _corpus_inputs(kw)) as staging:
+        corpus = _load(kw)
+        records = ind.compute_indicators(corpus)
         _write_reports(corpus, records, staging, quartile_scope, table2_mode, top_n)
     click.echo(f"wrote report tables to {out_dir}")
 
@@ -287,8 +317,8 @@ def report(out_dir: Path, quartile_scope: str, table2_mode: str, top_n: int, **k
 @with_options(out_options)
 def correlate(aggregates_path: Path, out_dir: Path):
     """Correlate performance indicators with each collaboration metric."""
-    result = agg.read_aggregates_csv(aggregates_path)
     with _writing(out_dir, "correlate", {}, [aggregates_path]) as staging:
+        result = agg.read_aggregates_csv(aggregates_path)
         _write_correlations(result.kept, staging)
     click.echo(f"wrote correlation tables to {out_dir}")
 
@@ -302,9 +332,9 @@ def synth_command(seed: int, params_path: Path | None, out_dir: Path):
     """Generate a seeded synthetic corpus with ground truth."""
     from . import synth  # deferred: its ~20 ms import would slow every other command
 
-    result = synth.generate_corpus(synth.load_params(seed, params_path))
     config = {"seed": seed, "params": str(params_path) if params_path else None}
     with _writing(out_dir, "synth", config, [params_path] if params_path else []) as staging:
+        result = synth.generate_corpus(synth.load_params(seed, params_path))
         synth.write_synthetic(result, staging)
     click.echo(
         f"wrote synthetic corpus ({len(result.corpus.publications)} publications) "
@@ -316,16 +346,16 @@ def synth_command(seed: int, params_path: Path | None, out_dir: Path):
 @with_options(corpus_options, out_options, aggregate_options, report_options)
 def run_all(out_dir: Path, ci_mode: str, threshold: float, quartile_scope: str,
             table2_mode: str, top_n: int, **kw):
-    """Run validate, indicators, aggregate, report and correlate."""
-    corpus = _load(kw)  # checked load doubles as the validate stage
+    """Run validate, indicators (written by a forked child), aggregate, report and correlate."""
     config = _config_echo(kw, ci_mode=ci_mode, threshold=threshold,
                           quartile_scope=quartile_scope, table2_mode=table2_mode, top=top_n)
     with _writing(out_dir, "all", config, _corpus_inputs(kw)) as staging:
+        corpus = _load(kw)  # checked load doubles as the validate stage
         records = ind.compute_indicators(corpus)
-        ind.write_indicators_csv(records, corpus.sectors, staging / INDICATORS_FILENAME)
-        result = _aggregate_records(records, corpus.sectors, ci_mode, threshold)
-        agg.write_aggregates_csv(result, staging / AGGREGATES_FILENAME)
-        _write_reports(corpus, records, staging, quartile_scope, table2_mode, top_n)
+        with _indicators_in_child(records, corpus.sectors, staging / INDICATORS_FILENAME):
+            result = _aggregate_records(records, corpus.sectors, ci_mode, threshold)
+            agg.write_aggregates_csv(result, staging / AGGREGATES_FILENAME)
+            _write_reports(corpus, records, staging, quartile_scope, table2_mode, top_n)
         _write_correlations(result.kept, staging)
     click.echo(f"pipeline complete: {out_dir}")
 

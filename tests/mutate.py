@@ -35,7 +35,8 @@ differs from the clean copy only in its node.  Tier-1 runs as
 ``pytest -x -q -p no:cacheprovider`` without criterion 7 (the slowest test,
 whose planted correlations other tests pin) and ``tests/test_mutate.py``, under
 ``PYTHONDONTWRITEBYTECODE=1``: a restored file can share its mtime and size
-with its mutant, so a cached ``.pyc`` could run the wrong code.  The clean
+with its mutant, so a cached ``.pyc`` could run the wrong code.  A mutant
+survives only if pytest exits 0 and ends with its summary line.  The clean
 copy must pass first; each mutant then gets 10x the clean run's time
 before it counts as a timeout.  The full probe takes about 40 minutes
 on two cores.  ``tests/test_mutate.py`` checks, from the syntax trees
@@ -49,6 +50,7 @@ import collections
 import concurrent.futures
 import os
 import queue
+import re
 import shutil
 import signal
 import subprocess
@@ -207,19 +209,24 @@ def _copy(dest: Path, clean: dict[str, str]) -> Path:
 
 
 def _run_tests(copy: Path, timeout: float | None) -> str:
-    """``"killed"`` (a test failed), ``"survived"`` or ``"timeout"``."""
+    """``"killed"`` (a test failed), ``"survived"`` or ``"timeout"``.  A run
+    survives only if pytest exits 0 and its last line is a summary of passed
+    tests alone: a mutant whose test process leaves through a forked child's
+    ``os._exit(0)`` exits 0 with no summary."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(copy / "src"))
-    proc = subprocess.Popen(PYTEST, cwd=copy, env=env, stdout=subprocess.DEVNULL,
+    proc = subprocess.Popen(PYTEST, cwd=copy, env=env, stdout=subprocess.PIPE,
                             stderr=subprocess.DEVNULL, start_new_session=True)
     try:
-        code = proc.wait(timeout=timeout)
+        out = proc.communicate(timeout=timeout)[0]
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
-        proc.wait()
+        proc.communicate()
         return "timeout"
     finally:
         shutil.rmtree(copy / ".hypothesis", ignore_errors=True)  # no examples carried over
-    return "survived" if code == 0 else "killed"
+    last = out.decode(errors="replace").rstrip("\n").rpartition("\n")[2]
+    passed = re.fullmatch(r"\d+ passed(, \d+ deselected)? in \S+", last)
+    return "survived" if proc.returncode == 0 and passed else "killed"
 
 
 def probe(modules) -> int:

@@ -4,9 +4,12 @@ import hashlib
 import json
 import os
 import random
+import re
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -1015,6 +1018,95 @@ class TestPipeline:
         assert result.exit_code == 0, result.output
         assert sorted(p.name for p in out.iterdir()) == sorted(
             PIPELINE_OUTPUTS + (("notes.txt",) if out_state == "used" else ()))
+
+    @pytest.mark.parametrize("command", ["indicators", "report", "all"])
+    def test_second_run_refused_before_it_loads(self, runner, tmp_path, monkeypatch, command):
+        from collabmetrics import cli as cli_module
+
+        out = tmp_path / "out"
+        argv = [command, *corpus_args(_golden_copy(tmp_path)), "--out", str(out)]
+        load, load_corpus, loads, nested = cli_module._load, cli_module.load_corpus, [], []
+
+        def counted_load_corpus(*args, **kwargs):
+            loads.append(args)
+            return load_corpus(*args, **kwargs)
+
+        def rerun_from_the_load(kw, **options):
+            if not nested:  # the first run, holding the lock: start the second one now
+                nested.append(runner.invoke(cli, argv))
+                nested.append(len(loads))
+            return load(kw, **options)
+
+        monkeypatch.setattr(cli_module, "load_corpus", counted_load_corpus)
+        monkeypatch.setattr(cli_module, "_load", rerun_from_the_load)
+        result = runner.invoke(cli, argv)
+        refused, loads_before_refusal = nested
+        assert_clean_failure(refused)
+        assert refused.stderr.splitlines() == [f"error: {out}: another run is writing here"]
+        assert loads_before_refusal == 0
+        assert result.exit_code == 0, result.output
+        assert len(loads) == 1
+
+    @pytest.mark.parametrize("failure", ["no-space", "memory", "killed"])
+    def test_failed_indicators_child_leaves_out_as_it_was(
+        self, runner, data_dir, tmp_path, monkeypatch, failure
+    ):
+        from collabmetrics import indicators
+
+        out = tmp_path / "out"
+        argv = ["all", *corpus_args(data_dir), "--out", str(out)]  # a run without warnings
+        result = runner.invoke(cli, argv)
+        assert result.exit_code == 0, result.output
+        before = snapshot(out)
+
+        def fail(records, sectors, path):  # runs in the forked child
+            if failure == "no-space":
+                raise OSError(28, "No space left on device", str(path))
+            if failure == "memory":
+                raise MemoryError
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(indicators, "write_indicators_csv", fail)
+        result = runner.invoke(cli, argv)
+        assert_clean_failure(result)
+        path = re.escape(str(out / ".staging-")) + r"\w+/indicators\.csv"
+        assert re.fullmatch({
+            "no-space": rf"error: \[Errno 28\] No space left on device: '{path}'\n",
+            "memory": r"error: out of memory\n",
+            "killed": rf"error: {path}: wait status {int(signal.SIGKILL)}\n",
+        }[failure], result.stderr)
+        assert snapshot(out) == before
+        with pytest.raises(ChildProcessError):  # the child is reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failure_beside_the_indicators_child_kills_it(
+        self, runner, data_dir, tmp_path, monkeypatch
+    ):
+        from collabmetrics import indicators, reports
+
+        out = tmp_path / "out"
+        argv = ["all", *corpus_args(data_dir), "--out", str(out)]  # a run without warnings
+        result = runner.invoke(cli, argv)
+        assert result.exit_code == 0, result.output
+        before = snapshot(tmp_path)
+        write, finished = indicators.write_indicators_csv, tmp_path / "child-finished"
+
+        def slow_write(*args):  # runs in the forked child
+            time.sleep(10)
+            write(*args)
+            finished.touch()
+
+        def fail(corpus, **options):
+            raise reports.ReportError("crosstab failed")
+
+        monkeypatch.setattr(indicators, "write_indicators_csv", slow_write)
+        monkeypatch.setattr(reports, "build_crosstab", fail)
+        result = runner.invoke(cli, argv)
+        assert_clean_failure(result)
+        assert result.stderr == "error: crosstab failed\n"
+        assert snapshot(tmp_path) == before  # the child was killed before it wrote anything
+        with pytest.raises(ChildProcessError):  # and reaped
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("command,name", [("all", "top_sectors_fci.csv"),
                                               ("indicators", "indicators.csv")])
