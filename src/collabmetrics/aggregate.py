@@ -25,10 +25,6 @@ AREA_INDICATORS = PERFORMANCE_INDICATORS + COLLAB_METRICS
 CI_MODES = {"share": "CI_share", "ratio": "CI_ratio"}
 
 
-class AggregateError(Exception):
-    pass
-
-
 @dataclass(slots=True)
 class NormalizedCell:
     """One (university, sds) cell rescaled to its sector means; the values
@@ -86,10 +82,9 @@ def normalize_to_sds_mean(
     The mean runs over universities with a defined value; undefined
     inputs stay undefined.  Sectors whose mean for an indicator is zero
     cannot be normalized; those values become undefined and the (sds,
-    indicator) pair is reported once in ``zero_mean``.
+    indicator) pair is reported once in ``zero_mean``.  ``ci_mode`` is a
+    key of ``CI_MODES``.
     """
-    if ci_mode not in CI_MODES:
-        raise AggregateError(f"unknown ci_mode '{ci_mode}' (use share|ratio)")
     # normalized indicator -> the indicator record field it is computed from
     sources = {name: name for name in AREA_INDICATORS} | {"CI": CI_MODES[ci_mode]}
 
@@ -163,12 +158,10 @@ def filter_small_universities(
 ) -> FilterResult:
     """Split rows on the staff threshold (strictly below is excluded).
 
-    ``staff`` is the sum over the area's sectors of the
-    university's period-average headcount, which is exactly the staff
-    measure the exclusion rule is stated on.
+    ``staff`` is the sum over the area's sectors of the university's
+    period-average headcount, which is exactly the staff measure the
+    exclusion rule is stated on.  ``threshold`` is positive and finite.
     """
-    if not 0 < threshold < math.inf:
-        raise AggregateError(f"threshold must be positive and finite, got {threshold}")
     kept = []
     excluded = []
     for agg in aggregates:

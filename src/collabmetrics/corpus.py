@@ -175,8 +175,7 @@ class Corpus:
             try:
                 # exact summation keeps the result independent of publication order
                 mean = math.fsum(map(raws.__getitem__, keys)) / len(keys)
-            # too large to add up, or (in a corpus built in code) infinities of both signs
-            except (OverflowError, ValueError) as exc:
+            except OverflowError as exc:  # finite impact factors too large to add up
                 raise CorpusError(f"sector '{sds}', impact factor mean: {exc}") from None
             if mean == 0.0:
                 raise CorpusError(f"sector '{sds}': all impact factors are zero, "

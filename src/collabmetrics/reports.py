@@ -19,8 +19,6 @@ from .corpus import Corpus, _write_csv
 from .indicators import IndicatorRecord
 
 QUARTILE_LABELS = ("0-25", "26-50", "51-75", "76-100")  # worst -> best
-QUARTILE_SCOPES = ("global", "per-sector")
-AREA_PROFILE_MODES = ("pooled", "weighted")
 COLLAB_COLUMNS = ("intramural", "extramural", "foreign", "enterprise")
 # AreaProfileRow share -> the IndicatorRecord field its weighted mode averages
 AREA_SHARES = {"CI": "CI_share", "CI_UNI": "CI_UNI", "CI_DPR": "CI_DPR",
@@ -54,30 +52,15 @@ class CrossTab:
     def from_counts(cls, counts_by_row: Sequence[Sequence[int]]) -> "CrossTab":
         """Build marginals and concentration indices from raw cell counts.
 
-        ``counts_by_row`` holds one row per quartile (worst first) with
-        counts (intramural, extramural, foreign, enterprise).
+        ``counts_by_row`` holds one row per quartile (worst first) of
+        non-negative counts (intramural, extramural, foreign, enterprise),
+        foreign and enterprise each at most extramural.
         """
-        if len(counts_by_row) != len(QUARTILE_LABELS):
-            raise ReportError(
-                f"expected {len(QUARTILE_LABELS)} quartile rows, got {len(counts_by_row)}"
-            )
-        counts: dict[tuple[str, str], int] = {}
-        for label, row in zip(QUARTILE_LABELS, counts_by_row):
-            if len(row) != len(COLLAB_COLUMNS):
-                raise ReportError(f"row '{label}' needs {len(COLLAB_COLUMNS)} counts")
-            for col, value in zip(COLLAB_COLUMNS, row):
-                if value < 0:
-                    raise ReportError(f"negative count in cell ({label}, {col})")
-                counts[(label, col)] = int(value)
-        problems = [
-            f"row '{label}': {col} exceeds extramural"
-            for label in QUARTILE_LABELS
-            for col in ("foreign", "enterprise")
-            if counts[(label, col)] > counts[(label, "extramural")]
-        ]
-        if problems:  # before the concentration indices, which assume consistent counts
-            raise ReportError("; ".join(problems))
-
+        counts = {
+            (label, col): int(value)
+            for label, row in zip(QUARTILE_LABELS, counts_by_row, strict=True)
+            for col, value in zip(COLLAB_COLUMNS, row, strict=True)
+        }
         row_totals = {
             label: counts[(label, "intramural")] + counts[(label, "extramural")]
             for label in QUARTILE_LABELS
@@ -91,8 +74,6 @@ class CrossTab:
             (label, col): stats.concentration_index(
                 counts[(label, col)], row_totals[label], col_totals[col], grand_total
             )
-            if row_totals[label] > 0
-            else None
             for label in QUARTILE_LABELS
             for col in COLLAB_COLUMNS
         }
@@ -111,44 +92,9 @@ def build_crosstab(corpus: Corpus, quartile_scope: str = "global") -> CrossTab:
     ``global`` pools every publication's normalized impact factor,
     averaged over its sectors, into one system-wide quartile split;
     ``per-sector`` bins each publication within its first attribution's
-    sector.
+    sector.  ``quartile_scope`` is a key of ``QUARTILE_SCOPES``.
     """
-    if quartile_scope not in QUARTILE_SCOPES:
-        raise ReportError(f"unknown quartile_scope '{quartile_scope}'")
-
-    pubs = corpus.publications
-    nif_by_sds = corpus.normalized_ifs
-    if quartile_scope == "global":
-        if len(pubs) < 4:
-            raise ReportError(
-                f"corpus has {len(pubs)} publications; global quartiles need at least 4"
-            )
-        values = []
-        for pub in pubs:
-            key = (pub.journal_id, pub.year)
-            codes = pub.sds_codes()
-            if len(codes) == 1:  # the mean of one value is the value
-                values.append(nif_by_sds[codes[0]][key])
-            else:
-                values.append(math.fsum([nif_by_sds[s][key] for s in codes]) / len(codes))
-        bins = stats.quartile_bins(values)
-    else:
-        first_sector_bins = {}  # sds -> bins of the publications it credits first
-        for sds, sds_pubs in corpus.publications_by_sds.items():
-            nif = nif_by_sds[sds]
-            sector_values = [nif[(p.journal_id, p.year)] for p in sds_pubs]
-            if len(sector_values) < 4:
-                raise ReportError(
-                    f"sector '{sds}' has {len(sector_values)} publications; "
-                    "per-sector quartiles need at least 4"
-                )
-            sector_bins = stats.quartile_bins(sector_values)
-            first_sector_bins[sds] = iter([
-                b for pub, b in zip(sds_pubs, sector_bins) if pub.attributions[0].sds == sds
-            ])
-        # each sector lists its publications in input order
-        bins = [next(first_sector_bins[pub.attributions[0].sds]) for pub in pubs]
-
+    bins = QUARTILE_SCOPES[quartile_scope](corpus)
     matrix = [[0, 0, 0, 0] for _ in QUARTILE_LABELS]
     for b, profile in zip(bins, corpus.profiles):
         row = matrix[b - 1]
@@ -161,6 +107,42 @@ def build_crosstab(corpus: Corpus, quartile_scope: str = "global") -> CrossTab:
         if profile.has_domestic_enterprise:
             row[3] += 1
     return CrossTab.from_counts(matrix)
+
+
+def _global_bins(corpus: Corpus) -> list[int]:
+    pubs = corpus.publications
+    nif_by_sds = corpus.normalized_ifs
+    if len(pubs) < 4:
+        raise ReportError(f"corpus has {len(pubs)} publications; global quartiles need at least 4")
+    values = []
+    for pub in pubs:
+        key = (pub.journal_id, pub.year)
+        codes = pub.sds_codes()
+        if len(codes) == 1:  # the mean of one value is the value
+            values.append(nif_by_sds[codes[0]][key])
+        else:
+            values.append(math.fsum([nif_by_sds[s][key] for s in codes]) / len(codes))
+    return stats.quartile_bins(values)
+
+
+def _per_sector_bins(corpus: Corpus) -> list[int]:
+    first_sector_bins = {}  # sds -> bins of the publications it credits first
+    for sds, sds_pubs in corpus.publications_by_sds.items():
+        nif = corpus.normalized_ifs[sds]
+        sector_values = [nif[(p.journal_id, p.year)] for p in sds_pubs]
+        if len(sector_values) < 4:
+            raise ReportError(f"sector '{sds}' has {len(sector_values)} publications; "
+                              "per-sector quartiles need at least 4")
+        sector_bins = stats.quartile_bins(sector_values)
+        first_sector_bins[sds] = iter([
+            b for pub, b in zip(sds_pubs, sector_bins) if pub.attributions[0].sds == sds
+        ])
+    # each sector lists its publications in input order
+    return [next(first_sector_bins[pub.attributions[0].sds]) for pub in corpus.publications]
+
+
+# the CLI's --quartile-scope choices: each scope -> the quartile bin of every publication
+QUARTILE_SCOPES = {"global": _global_bins, "per-sector": _per_sector_bins}
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +168,10 @@ def build_area_profile(
     ``pooled`` counts each distinct publication of the area once and
     takes plain ratios; ``weighted`` averages the per-cell shares of
     ``records`` (the corpus's ``compute_indicators`` result) with
-    period-average staff weights instead.
+    period-average staff weights instead.  ``mode`` is a key of
+    ``AREA_PROFILE_MODES``.
     """
-    if mode == "pooled":
-        return _area_profile_pooled(corpus)
-    if mode == "weighted":
-        return _area_profile_weighted(corpus, records)
-    raise ReportError(f"unknown area profile mode '{mode}' (use {'|'.join(AREA_PROFILE_MODES)})")
+    return AREA_PROFILE_MODES[mode](corpus, records)
 
 
 def _area_profile_pooled(corpus: Corpus) -> list[AreaProfileRow]:
@@ -238,6 +217,11 @@ def _area_profile_weighted(
         })
         for row in _area_profile_pooled(corpus)
     ]
+
+
+# the CLI's --table2-mode choices: each mode -> its builder of (corpus, records)
+AREA_PROFILE_MODES = {"pooled": lambda corpus, _records: _area_profile_pooled(corpus),
+                      "weighted": _area_profile_weighted}
 
 
 # ---------------------------------------------------------------------------
@@ -300,12 +284,10 @@ def build_top_sector_table(
     metric: str,
     top_n: int = 1,
 ) -> list[TopSectorRow]:
-    """The top sectors of each area by a pooled share metric.
+    """The ``top_n`` (at least 1) sectors of each area by a pooled share metric.
 
     Ties break toward larger output, then lexicographic sds code.
     """
-    if top_n < 1:
-        raise ReportError(f"top_n must be at least 1, got {top_n}")
     rows = []
     for area, shares in _sector_shares(records, sectors, metric).items():
         ranked = sorted(shares, key=lambda item: (-item[1], -item[2], item[0]))
@@ -342,12 +324,12 @@ def build_correlation_table(
 ) -> CorrelationTable:
     """Correlate each performance indicator against a collaboration metric.
 
-    The aggregates should already have exclusion applied.  Cells with
-    fewer than 3 complete pairs or zero variance are undefined and the
-    reason recorded.
+    ``collab_metric`` is one of ``COLLAB_METRICS``.  The aggregates should
+    already have exclusion applied.  Cells with fewer than 3 complete
+    pairs or zero variance are undefined and the reason recorded.
     """
-    if collab_metric not in COLLAB_METRICS:
-        raise ReportError(f"unknown collaboration metric '{collab_metric}'")
+    # looked up in its domain, so a name outside COLLAB_METRICS raises KeyError
+    collab_metric = dict(zip(COLLAB_METRICS, COLLAB_METRICS))[collab_metric]
     by_area: dict[str, list[AreaAggregate]] = {}
     for agg in aggregates:
         by_area.setdefault(agg.area, []).append(agg)

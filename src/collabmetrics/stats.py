@@ -43,11 +43,9 @@ def _defined(value) -> bool:
 
 def clean_pairs(x: Sequence, y: Sequence) -> list[tuple[float, float]]:
     """Pairwise-complete observations of two equal-length series."""
-    if len(x) != len(y):
-        raise ValueError(f"series length mismatch: {len(x)} != {len(y)}")
     return [
         (float(a), float(b))
-        for a, b in zip(x, y)
+        for a, b in zip(x, y, strict=True)
         if _defined(a) and _defined(b)
     ]
 
@@ -107,17 +105,10 @@ def concentration_index(
     """Observed-over-expected cell frequency, neutral at 1.
 
     Computed as (cell/row_total) / (col_total/grand_total); ``None``
-    when the row or column marginal is zero.
+    when the row or column marginal is zero.  Otherwise the counts are
+    non-negative, the grand total positive and the cell within both
+    marginals.
     """
-    if min(cell, row_total, col_total, grand_total) < 0:
-        raise ValueError("contingency counts must be non-negative")
-    if grand_total <= 0:
-        raise ValueError("grand total must be positive")
-    if cell > min(row_total, col_total):
-        raise ValueError(
-            f"cell count {cell} exceeds a marginal "
-            f"(row {row_total}, column {col_total})"
-        )
     if row_total == 0 or col_total == 0:
         return None
     return (cell / row_total) / (col_total / grand_total)
@@ -127,14 +118,11 @@ def quartile_bins(values: Sequence[float]) -> list[int]:
     """Quartile bin (1 = worst .. 4 = best) of each value in the series.
 
     Cuts fall at the smallest value v with at least k*n/4 observations
-    <= v (k = 1, 2, 3); values tied with a cut go to the lower bin.
+    <= v (k = 1, 2, 3); values tied with a cut go to the lower bin.  The
+    series holds at least 4 values, none of them NaN.
     """
     vals = [float(v) for v in values]
-    if any(math.isnan(v) for v in vals):
-        raise ValueError("quartile binning needs fully defined values")
     n = len(vals)
-    if n < 4:
-        raise ValueError(f"quartile binning needs at least 4 values, got {n}")
     ordered = sorted(vals)
     cuts = [ordered[math.ceil(k * n / 4) - 1] for k in (1, 2, 3)]
     return [bisect.bisect_left(cuts, v) + 1 for v in vals]
@@ -144,12 +132,10 @@ def descriptive(values: Sequence) -> Descriptives:
     """Sample descriptive statistics of the defined values in a series.
 
     The coefficient of variation std/mean is ``None`` for non-positive
-    means.  Raises if no defined value remains.
+    means.  The series holds at least one defined value.
     """
     vals = [float(v) for v in values if _defined(v)]
     n = len(vals)
-    if n == 0:
-        raise ValueError("descriptive statistics need at least one defined value")
     mean = math.fsum(vals) / n
     ordered = sorted(vals)
     mid = n // 2

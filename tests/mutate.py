@@ -80,7 +80,7 @@ FLIPS = {ast.Lt: ("<", ast.LtE), ast.LtE: ("<=", ast.Lt), ast.Gt: (">", ast.GtE)
 EQUIVALENT = {
     ("corpus", "Publication.sds_codes", "if-false", "len(atts) == 1"):
         "fast path: the sorted set of one attribution's sector is that sector",
-    ("reports", "build_crosstab", "if-false", "len(codes) == 1"):
+    ("reports", "_global_bins", "if-false", "len(codes) == 1"):
         "fast path: the mean of one value is the value",
     ("reports", "_area_profile_pooled", "ifexp-false", "len(atts) == 1"):
         "fast path: the set of one attribution's area is that area",

